@@ -20,11 +20,11 @@ All stores hold float weights: the popularity tracker layers exponential
 decay on top by inflating increments (see :mod:`repro.core.popularity`).
 
 Every store is thread-safe: an internal re-entrant lock makes each
-``add``/``get``/``scale``/``clear`` atomic, and ``items()`` iterates a
-snapshot taken under the lock so concurrent writers never invalidate an
-in-progress iteration. Read-modify-write sequences *across* calls (e.g.
-the popularity tracker's record bookkeeping) still need the caller's own
-lock on top.
+``add``/``get``/``scale``/``clear`` (and ``add_many``/``get_many``)
+atomic, and ``items()`` iterates a snapshot taken under the lock so
+concurrent writers never invalidate an in-progress iteration.
+Read-modify-write sequences *across* calls (e.g. the popularity
+tracker's record bookkeeping) still need the caller's own lock on top.
 
 Replication: every store carries a monotonic *version* counter bumped on
 each mutation, remembers the version at which each key last changed, and
@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConfigError
 
@@ -104,6 +104,17 @@ class CountStore:
     def get(self, key: Key) -> float:
         """Return the (possibly estimated) weight of ``key``; 0 if unseen."""
         raise NotImplementedError
+
+    def add_many(self, keys: Sequence[Key], amounts: Iterable[float]) -> None:
+        """``add`` each (key, amount) pair in order, atomically."""
+        with self._lock:
+            for key, amount in zip(keys, amounts):
+                self.add(key, amount)
+
+    def get_many(self, keys: Sequence[Key]) -> List[float]:
+        """``get`` for each key in order, from one consistent state."""
+        with self._lock:
+            return [self.get(key) for key in keys]
 
     def items(self) -> Iterator[Tuple[Key, float]]:
         """Iterate over (key, weight) for every tracked key."""
@@ -182,6 +193,23 @@ class InMemoryCountStore(CountStore):
     def get(self, key: Key) -> float:
         with self._lock:
             return self._counts.get(key, 0.0)
+
+    def add_many(self, keys: Sequence[Key], amounts: Iterable[float]) -> None:
+        # Same values, versions and change order as add() per key.
+        with self._lock:
+            counts, changed = self._counts, self._changed
+            get = counts.get
+            version = self._version
+            for key, amount in zip(keys, amounts):
+                counts[key] = get(key, 0.0) + amount
+                version += 1
+                changed[key] = version
+            self._version = version
+
+    def get_many(self, keys: Sequence[Key]) -> List[float]:
+        with self._lock:
+            get = self._counts.get
+            return [get(key, 0.0) for key in keys]
 
     def items(self) -> Iterator[Tuple[Key, float]]:
         with self._lock:

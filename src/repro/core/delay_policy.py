@@ -135,9 +135,7 @@ class PopularityDelayPolicy(DelayPolicy):
         self.uncapped_cold = uncapped_cold
 
     def delay_for(self, key: Key) -> float:
-        popularity = self.tracker.popularity(key, self.mode)
-        n = _resolve_population(self.population)
-        return self._price(key, popularity, n)
+        return self.delays_for((key,))[0]
 
     def delays_for(self, keys: Sequence[Key]) -> List[float]:
         """Batch pricing against one consistent popularity snapshot.
@@ -151,20 +149,23 @@ class PopularityDelayPolicy(DelayPolicy):
             return []
         popularities = self.tracker.popularity_many(keys, self.mode)
         n = _resolve_population(self.population)
+        unit, cap, beta = self.unit, self.cap, self.beta
+        cold = self.uncapped_cold if cap is None else cap
+        cap = math.inf if cap is None else cap
+        # ``cap if cap < d else d`` is min(d, cap) without a call.
+        if beta:
+            # Ranks only for seen tuples: rank() may rebuild its cache.
+            rank = self.tracker.rank
+            return [
+                cold if p <= 0.0
+                else cap if cap < (d := unit / (n * p) * rank(key) ** beta)
+                else d
+                for key, p in zip(keys, popularities)
+            ]
         return [
-            self._price(key, popularity, n)
-            for key, popularity in zip(keys, popularities)
+            cold if p <= 0.0 else cap if cap < (d := unit / (n * p)) else d
+            for p in popularities
         ]
-
-    def _price(self, key: Key, popularity: float, n: int) -> float:
-        if popularity <= 0.0:
-            return self.cap if self.cap is not None else self.uncapped_cold
-        delay = self.unit / (n * popularity)
-        if self.beta:
-            delay *= self.tracker.rank(key) ** self.beta
-        if self.cap is not None:
-            delay = min(delay, self.cap)
-        return delay
 
     def describe(self) -> str:
         cap = f"{self.cap:g}s" if self.cap is not None else "none"
@@ -204,25 +205,19 @@ class UpdateRateDelayPolicy(DelayPolicy):
         self.cap = cap
 
     def delay_for(self, key: Key) -> float:
-        rate = self.tracker.rate(key)
-        n = _resolve_population(self.population)
-        return self._price(rate, n)
+        return self.delays_for((key,))[0]
 
     def delays_for(self, keys: Sequence[Key]) -> List[float]:
         """Batch pricing against one consistent rate snapshot."""
         if not keys:
             return []
         rates = self.tracker.rate_many(keys)
-        n = _resolve_population(self.population)
-        return [self._price(rate, n) for rate in rates]
-
-    def _price(self, rate: float, n: int) -> float:
-        if rate <= 0.0:
-            return self.cap if self.cap is not None else math.inf
-        delay = self.c / (n * rate)
-        if self.cap is not None:
-            delay = min(delay, self.cap)
-        return delay
+        n, c = _resolve_population(self.population), self.c
+        cap = self.cap if self.cap is not None else math.inf
+        return [
+            cap if rate <= 0.0 else cap if cap < (d := c / (n * rate)) else d
+            for rate in rates
+        ]
 
     def describe(self) -> str:
         cap = f"{self.cap:g}s" if self.cap is not None else "none"
@@ -247,8 +242,7 @@ class CompositeDelayPolicy(DelayPolicy):
         self.combine = combine
 
     def delay_for(self, key: Key) -> float:
-        delays = [policy.delay_for(key) for policy in self.policies]
-        return self._combine(delays)
+        return self.delays_for((key,))[0]
 
     def delays_for(self, keys: Sequence[Key]) -> List[float]:
         """Batch each inner policy once, then combine column-wise."""

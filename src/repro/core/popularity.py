@@ -37,6 +37,10 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .counts import CountStore, InMemoryCountStore, Key
@@ -131,30 +135,59 @@ class PopularityTracker:
 
     def record(self, key: Key, weight: float = 1.0) -> None:
         """Record one access to ``key`` (``weight`` allows batched hits)."""
+        self.record_many((key,), weight)
+
+    def record_many(self, keys: Sequence[Key], weight: float = 1.0) -> None:
+        """Record accesses to ``keys`` in order, as one atomic batch.
+
+        Bit-identical to one :meth:`record` per key, rescales included.
+        Holding the lock across the batch means a concurrent
+        :meth:`popularity_many` snapshot sees none or all of it.
+        """
         if weight <= 0:
             raise ConfigError(f"weight must be positive, got {weight}")
         with self._lock:
-            amount = self._increment * weight
-            self.store.add(key, amount)
-            self._decayed_total += amount
-            self._raw_total += weight
-            self._increment *= self.decay_rate
-            self._records_since_rank += 1
+            self._records_since_rank += len(keys)
             if self._records_since_rank >= self.rank_refresh:
                 self._rank_cache = None
-            if self._increment > self.rescale_threshold:
+            # increments[i] weighs keys[i]; increments[len(keys)] is the
+            # increment left for the next request.
+            increments = self._increments(len(keys), self._increment)
+            restarted = None
+            while increments[len(keys)] > self.rescale_threshold:
+                # Rescale right after the access that passes the bound.
+                split = bisect_right(increments, self.rescale_threshold, 1)
+                self._add_chunk(keys[:split], increments, weight)
+                self._increment = increments[split]
                 self._rescale()
+                keys = keys[split:]
+                if restarted is None:  # every later chunk starts at 1.0
+                    restarted = self._increments(len(keys), 1.0)
+                increments = restarted
+            self._add_chunk(keys, increments, weight)
+            self._increment = increments[len(keys)]
 
-    def record_many(self, keys: Iterable[Key]) -> None:
-        """Record a sequence of accesses in order, as one atomic batch.
+    def _increments(self, count: int, first: float) -> List[float]:
+        """``first`` and the ``count`` increments that follow it."""
+        if self.decay_rate == 1.0:  # x * 1.0 == x: skip the products
+            return [first] * (count + 1)
+        return list(
+            accumulate(repeat(self.decay_rate, count), mul, initial=first)
+        )
 
-        Holding the (reentrant) lock across the batch means a
-        concurrent :meth:`popularity_many` snapshot sees either none or
-        all of a query's recordings — never a half-recorded result set.
-        """
-        with self._lock:
-            for key in keys:
-                self.record(key)
+    def _add_chunk(
+        self, keys: Sequence[Key], increments: List[float], weight: float
+    ) -> None:
+        """Add ``keys`` at ``increments`` × ``weight``, summing totals
+        left to right as per-key adds would; lock held."""
+        amounts = increments[: len(keys)]
+        if weight != 1.0:
+            amounts = [amount * weight for amount in amounts]
+        self.store.add_many(keys, amounts)
+        self._decayed_total = reduce(add, amounts, self._decayed_total)
+        self._raw_total = reduce(
+            add, repeat(weight, len(keys)), self._raw_total
+        )
 
     def _rescale(self) -> None:
         """Divide all state by the current increment (overflow guard)."""
@@ -256,39 +289,44 @@ class PopularityTracker:
         and denominator span every known origin, so a clustered tracker
         prices against the *global* distribution.
         """
-        with self._lock:
-            count = self.store.get(key) / self._increment
-            if self._remote:
-                count += self._remote_count(key)
-            if count <= 0:
-                return 0.0
-            if mode == "raw":
-                total = self._raw_total
-                if self._remote_meta:
-                    total += self._remote_raw_total()
-                if total <= 0:
-                    return 0.0
-                return count / total
-            if mode == "decayed":
-                total = self._decayed_total / self._increment
-                if self._remote_meta:
-                    total += self._remote_decayed_total()
-                if total <= 0:
-                    return 0.0
-                return count / total
-        raise ConfigError(f"unknown popularity mode {mode!r}")
+        return self.popularity_many((key,), mode)[0]
 
     def popularity_many(
         self, keys: Sequence[Key], mode: str = "raw"
     ) -> List[float]:
-        """Popularities for ``keys`` from one consistent snapshot.
+        """:meth:`popularity` of every key from one consistent snapshot.
 
-        One lock acquisition covers the whole batch, so all returned
-        estimates share the same counts and totals — the property the
-        guard's price stage relies on for multi-tuple queries.
+        One lock acquisition covers the batch and the increment and
+        total are read once, so every estimate shares the same state —
+        the property the guard's price stage relies on.
         """
+        if mode not in ("raw", "decayed"):
+            raise ConfigError(f"unknown popularity mode {mode!r}")
         with self._lock:
-            return [self.popularity(key, mode) for key in keys]
+            # Read every count even when the answer is all zeros: a
+            # write-behind store's get() moves its cache like per-key reads.
+            counts = self.store.get_many(keys)
+            increment = self._increment
+            if mode == "raw":
+                total = self._raw_total
+                if self._remote_meta:
+                    total += self._remote_raw_total()
+            else:
+                total = self._decayed_total / increment
+                if self._remote_meta:
+                    total += self._remote_decayed_total()
+            if total <= 0:
+                return [0.0] * len(keys)
+            if self._remote:
+                counts = [
+                    weight / increment + self._remote_count(key)
+                    for key, weight in zip(keys, counts)
+                ]
+                increment = 1.0  # already divided: x / 1.0 == x
+            return [
+                0.0 if weight <= 0 else weight / increment / total
+                for weight in counts
+            ]
 
     def _merged_counts(self) -> Dict[Key, float]:
         """All (key -> present-scale mass) across origins; lock held."""
@@ -307,10 +345,7 @@ class PopularityTracker:
             keys = {key for key, _count in self.store.items()}
             for entries in self._remote.values():
                 keys.update(entries)
-        best = 0.0
-        for key in keys:
-            best = max(best, self.popularity(key, mode))
-        return best
+            return max(self.popularity_many(list(keys), mode), default=0.0)
 
     def rank(self, key: Key) -> int:
         """1-based popularity rank of ``key`` (1 = most popular).

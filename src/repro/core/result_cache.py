@@ -70,9 +70,7 @@ class CachedResult:
             columns=tuple(result.columns),
             rows=tuple(tuple(row) for row in result.rows),
             rowids=tuple(result.rowids),
-            touched=tuple(
-                (table, rowid) for table, rowid in result.touched
-            ),
+            touched=tuple(map(tuple, result.touched)),
             table=result.table,
             rowcount=result.rowcount,
         )

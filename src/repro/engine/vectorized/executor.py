@@ -23,6 +23,7 @@ classic code path and says which one.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..catalog import Catalog
@@ -358,6 +359,18 @@ class VectorizedExecutor(Executor):
             if p >= 0
         ]
 
+    def _keys_of(
+        self, batches: List[ColumnBatch], tuples: List[PosTuple]
+    ) -> Tuple[List[int], List[Touched]]:
+        """Driving rowids and ``touched`` pairs of ``tuples``, in order
+        (one source has no -1 positions: its pairs come in bulk)."""
+        rowids = [batches[0].rowids[t[0]] for t in tuples]
+        if len(batches) == 1:
+            return rowids, list(zip(repeat(batches[0].table_key), rowids))
+        return rowids, [
+            pair for t in tuples for pair in self._touched_of(batches, t)
+        ]
+
     def _evaluator(
         self,
         expression: Expression,
@@ -513,17 +526,12 @@ class VectorizedExecutor(Executor):
             projected = projected[: statement.limit]
 
         driving = sources[0][0]
+        rowids, touched = self._keys_of(batches, [t for t, _ in projected])
         return ResultSet(
             columns=columns,
             rows=[row for _, row in projected],
-            rowids=[
-                batches[0].rowids[t[0]] for t, _ in projected
-            ],
-            touched=[
-                pair
-                for t, _ in projected
-                for pair in self._touched_of(batches, t)
-            ],
+            rowids=rowids,
+            touched=touched,
             table=driving.name,
             rowcount=len(projected),
             statement_kind="select",
@@ -558,10 +566,7 @@ class VectorizedExecutor(Executor):
                 self._aggregate_item_value(item, tuples, key_map, batches)
             )
         rows = [tuple(values)]
-        rowids = [batches[0].rowids[t[0]] for t in tuples]
-        touched = [
-            pair for t in tuples for pair in self._touched_of(batches, t)
-        ]
+        rowids, touched = self._keys_of(batches, tuples)
         # Mirror the classic path's LIMIT/OFFSET handling (including
         # the consistent-trim bugfix there).
         offset = statement.offset or 0
