@@ -14,11 +14,14 @@ proxy runs a companion query ``SELECT rowid FROM <table> [WHERE ...]
 [ORDER BY ...] [LIMIT ...]`` to learn exactly which rows the user's
 query touches, charges and records them, then runs the user's original
 query for the results. DML statements likewise resolve their affected
-rowids first.
+rowids first. ``max_result_rows`` denies an over-limit SELECT with
+``result_limit`` before anything is priced, recorded or charged, as
+the native guard's account stage does.
 
-Joins, GROUP BY and subqueries are rejected by the proxy (attribution
-through SQLite would need rowid plumbing per table); the native engine
-guard supports them.
+Joins, GROUP BY and subqueries are rejected by the proxy with a
+:class:`~repro.core.errors.ConfigError` (attribution through SQLite
+would need rowid plumbing per table); the native engine guard supports
+them.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from ..core.delay_policy import (
     PopularityDelayPolicy,
     UpdateRateDelayPolicy,
 )
-from ..core.errors import ConfigError
+from ..core.errors import AccessDenied, ConfigError
 from ..core.guard import GuardStats
 from ..core.popularity import PopularityTracker
 from ..core.update_tracker import UpdateRateTracker
-from ..engine.errors import EngineError, ParseError
+from ..engine.expr import contains_subquery
 from ..engine.parser.ast import (
     DeleteStatement,
     InsertStatement,
@@ -190,9 +193,11 @@ class SQLiteDelayProxy:
         """Proxy one statement through the defense to SQLite.
 
         Raises :class:`~repro.engine.errors.ParseError` for SQL outside
-        the supported subset and
+        the supported subset,
         :class:`~repro.core.errors.ConfigError` for attributable-but-
-        unsupported shapes (joins, GROUP BY, subqueries).
+        unsupported shapes (joins, GROUP BY, subqueries), and
+        :class:`~repro.core.errors.AccessDenied` (``result_limit``) for
+        a SELECT returning more than ``max_result_rows`` rows.
         """
         accounting_start = time.perf_counter()
         if self.accounts is not None:
@@ -212,6 +217,13 @@ class SQLiteDelayProxy:
                     "the SQLite proxy cannot attribute joins or GROUP BY; "
                     "use the native engine guard for those"
                 )
+        if contains_subquery(
+            getattr(statement, "where", None)
+        ) or contains_subquery(getattr(statement, "having", None)):
+            raise ConfigError(
+                "the SQLite proxy cannot attribute subqueries; "
+                "use the native engine guard for those"
+            )
         accounting = time.perf_counter() - accounting_start
 
         if isinstance(statement, SelectStatement):
@@ -233,27 +245,34 @@ class SQLiteDelayProxy:
     def _execute_select(
         self, statement, sql, identity, record, sleep, accounting
     ) -> ProxyResult:
+        engine_start = time.perf_counter()
+        cursor = self.connection.execute(sql)
+        rows = cursor.fetchall()
+        engine_elapsed = time.perf_counter() - engine_start
+
         accounting_start = time.perf_counter()
+        limit = self.config.max_result_rows
+        if limit is not None and len(rows) > limit:
+            # §1.1's strawman result-size limit: the engine has read the
+            # rows, but nothing is priced, recorded or charged.
+            self.stats.note_denied()
+            accounting += time.perf_counter() - accounting_start
+            self.stats.note_query(0.0, engine_elapsed, accounting)
+            raise AccessDenied("result_limit")
         table_key = statement.table.lower()
         rowids = self._rowids_for_select(statement)
         keys = [(table_key, rowid) for rowid in rowids]
-        per_tuple = [self.policy.delay_for(key) for key in keys]
+        per_tuple = self.policy.delays_for(keys)
         delay = (
             sum(per_tuple)
             if self.config.charge_returned_tuples
             else max(per_tuple, default=0.0)
         )
         if record and self.config.record_accesses:
-            for key in keys:
-                self.popularity.record(key)
+            self.popularity.record_many(keys)
         if self.accounts is not None and identity is not None:
             self.accounts.record_retrieval(identity, len(keys))
         accounting += time.perf_counter() - accounting_start
-
-        engine_start = time.perf_counter()
-        cursor = self.connection.execute(sql)
-        rows = cursor.fetchall()
-        engine_elapsed = time.perf_counter() - engine_start
 
         self.stats.note_select(delay, len(keys))
         self.stats.note_query(delay, engine_elapsed, accounting)
@@ -320,4 +339,4 @@ class SQLiteDelayProxy:
             )
         ]
         key = table.lower()
-        return sum(self.policy.delay_for((key, rowid)) for rowid in rowids)
+        return sum(self.policy.delays_for([(key, rowid) for rowid in rowids]))

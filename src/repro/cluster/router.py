@@ -1,10 +1,23 @@
 """Scatter-gather statement routing with one globally-priced delay.
 
-The router is the cluster's single front door. Every statement enters
-here, and the defense's invariant is enforced here: **one delay per
-query, priced from the global merged view, served once** — never
-per-shard sleeps (summing M per-shard prices computed against M
-under-counted views is exactly the vulnerability sharding introduces).
+The router is the cluster's single front door. It is a
+:class:`~repro.core.guard.FrontDoor`: every statement runs the same
+:class:`~repro.core.pipeline.QueryPipeline` a single node runs —
+admit, parse, authorize, account (including ``max_result_rows``),
+deadlines, stats, forensics, tracing and audit are shared, so every
+guard limit holds on a cluster exactly as on one node. Only the three
+data-plane steps are the cluster's own:
+
+- **execute** routes by statement kind (below);
+- **price** uses the owner shard's policy for a single-shard SELECT and
+  the first live shard's gossip-merged policy for a scatter — one
+  delay per query, priced from the global view, served once (summing
+  M per-shard prices against M under-counted views is exactly the
+  vulnerability sharding introduces);
+- **record** counts each served key at its owning shard (a live peer
+  if the owner is down), so the owners stay the authoritative count
+  holders and gossip carries the increments to every peer. Writes
+  record their update rates at the shards that applied them.
 
 Routing by statement kind:
 
@@ -17,34 +30,31 @@ Routing by statement kind:
 - **UPDATE/DELETE** routes to the owning shard when the WHERE clause
   proves a partition key, otherwise broadcasts — partitions are
   disjoint, so the broadcast touches each affected row exactly once.
-- **SELECT** takes the single-shard fast path when a partition-key
-  equality proves one owner (the owner prices from its gossip-merged
-  tracker view against the *global* population, so the price equals
-  the single-node price up to gossip staleness). Anything else —
-  scans, joins, aggregates — executes against a merged read-only
-  engine built from every shard's rows under their read locks (cached
-  per cluster-wide mutation-epoch vector), is priced **once** at the
-  coordinator from the merged touched-set, and is recorded at each
-  tuple's owning shard so the owners stay the authoritative count
-  holders.
+  A subquery in the WHERE clause is rejected: it would read only the
+  executing shard's partition.
+- **SELECT** runs on the owner's engine when a partition-key equality
+  proves one owner and no subquery needs other partitions. Anything
+  else — scans, joins, aggregates, subqueries — executes against a
+  merged read-only engine built from every shard's rows under their
+  read locks (cached per cluster-wide mutation-epoch vector).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.accounts import AccountManager
 from ..core.clock import Clock
 from ..core.config import GuardConfig
-from ..core.detection import CoverageMonitor
+from ..core.delay_policy import DelayPolicy
 from ..core.errors import AccessDenied, ConfigError, ShardUnavailable
-from ..core.guard import GuardedResult, GuardStats
+from ..core.guard import FrontDoor, GuardedResult
+from ..core.pipeline import QueryContext, QueryPipeline
 from ..engine.database import Database
 from ..engine.errors import EngineError
 from ..engine.executor import ResultSet
-from ..engine.expr import Literal
+from ..engine.expr import Literal, Negate, contains_subquery
 from ..engine.parser.ast import (
     DeleteStatement,
     InsertStatement,
@@ -52,15 +62,33 @@ from ..engine.parser.ast import (
     TransactionStatement,
     UpdateStatement,
 )
-from ..engine.parser.normalize import normalize_sql
-from ..engine.parser.parser import parse_cached
-from ..obs import ForensicsMonitor, Observability
+# Parsing runs in the pipeline's parse stage; the binding stays here
+# because perfbench/spans.py patches ``parse_cached`` on this module.
+from ..engine.parser.parser import parse_cached  # noqa: F401
+from ..obs import Observability
 from .sharding import ShardMap, pk_values_from_where, render_insert_sql
 
 Key = Tuple[str, int]
 
 
-class ClusterRouter:
+def _as_literal(value) -> Literal:
+    """One VALUES entry of a sharded INSERT, as a literal.
+
+    The parser reads a signed number as ``Negate(Literal)``; that is
+    still a literal and folds to one. Anything else must already be a
+    :class:`Literal` — placement needs the partition-key value before
+    any shard evaluates the row.
+    """
+    if isinstance(value, Negate) and isinstance(value.operand, Literal):
+        number = value.operand.value
+        if isinstance(number, (int, float)) and not isinstance(number, bool):
+            return Literal(-number)
+    if not isinstance(value, Literal):
+        raise ConfigError("sharded INSERT rows must be literal values")
+    return value
+
+
+class ClusterRouter(FrontDoor):
     """Routes statements across shards; prices one global delay.
 
     Args:
@@ -68,17 +96,17 @@ class ClusterRouter:
             allocates rowids ≡ ``i + 1 (mod M)``).
         shard_map: the cluster's partitioning scheme.
         config: the cluster-wide guard configuration — pricing mode,
-            cap, forensics thresholds. Shard guards run with forensics
-            off; the router runs the cluster-wide monitor over the
-            global population so spray-across-shards coverage is
-            visible in one place.
+            cap, limits, forensics thresholds. Shard guards run with
+            forensics off; the router runs the cluster-wide monitor
+            over the global population so spray-across-shards coverage
+            is visible in one place.
         clock: the shared cluster clock (delays are served here).
-        accounts: the shared account manager (per-identity budgets are
-            global, not per-shard).
-        obs: the router's observability bundle; audit events carry the
-            shard ids each query touched.
         population: zero-argument callable returning the global tuple
             count.
+        accounts: the shared account manager (per-identity budgets are
+            global, not per-shard).
+        obs: the router's observability bundle: query traces, stage
+            histograms and audit events for every cluster query.
     """
 
     def __init__(
@@ -91,31 +119,16 @@ class ClusterRouter:
         accounts: Optional[AccountManager] = None,
         obs: Optional[Observability] = None,
     ):
+        super().__init__(
+            config,
+            clock,
+            accounts,
+            obs if obs is not None else Observability.disabled(),
+            population,
+        )
         self.shards = list(shards)
         self.shard_map = shard_map
-        self.config = config
-        self.clock = clock
-        self.accounts = accounts
-        self.obs = obs if obs is not None else Observability.disabled()
         self.population = population
-        self.stats = GuardStats()
-        #: cluster-wide extraction forensics over the global population.
-        self.forensics: Optional[ForensicsMonitor] = None
-        if config.forensics:
-            self.forensics = ForensicsMonitor(
-                CoverageMonitor(
-                    population=population,
-                    coverage_threshold=config.forensics_coverage_threshold,
-                    novelty_threshold=config.forensics_novelty_threshold,
-                    window=config.forensics_window,
-                    min_requests=config.forensics_min_requests,
-                    max_identities=config.forensics_max_identities,
-                    max_keys_per_identity=(
-                        config.forensics_max_keys_per_identity
-                    ),
-                ),
-                audit=self.obs.audit if self.obs.enabled else None,
-            )
         self._merged_lock = threading.Lock()
         self._merged_cache: Optional[Tuple[tuple, Database]] = None
         #: routing counters for cluster health.
@@ -126,14 +139,11 @@ class ClusterRouter:
         self.shard_failures = 0
         self.unavailable_denials = 0
         self.partial_scatter_queries = 0
+        if self.obs.enabled:
+            self._register_metrics()
+        self.pipeline = QueryPipeline(self)
 
     # -- shard availability --------------------------------------------------
-
-    @property
-    def guards(self) -> List:
-        """Every shard's current guard (replica groups resolve to
-        their current primary — raising when the group is down)."""
-        return [shard.guard for shard in self.shards]
 
     def _is_available(self, index: int) -> bool:
         return getattr(self.shards[index], "available", True)
@@ -145,6 +155,11 @@ class ClusterRouter:
             if self._is_available(index)
         ]
 
+    def _note_unavailable(self) -> None:
+        self.stats.note_denied()
+        if self.obs.enabled:
+            self._m_denied.inc(reason="shard_unavailable")
+
     def _deny_unavailable(self, indexes: Sequence[int]) -> ShardUnavailable:
         """Build (and account) the structured degraded-mode denial."""
         retry_after = max(
@@ -155,7 +170,7 @@ class ClusterRouter:
             default=0.0,
         )
         self.unavailable_denials += 1
-        self.stats.note_denied()
+        self._note_unavailable()
         self._emit_audit(
             "cluster_shard_unavailable", shards=sorted(indexes)
         )
@@ -166,9 +181,10 @@ class ClusterRouter:
         if down:
             raise self._deny_unavailable(down)
 
-    def _shard_guard(self, index: int):
+    def _shard(self, index: int):
+        """Shard ``index``, or the structured denial when it is down."""
         self._require_shards([index])
-        return self.shards[index].guard
+        return self.shards[index]
 
     def _reference_shard(self):
         """Any live shard (schema is replicated everywhere): used for
@@ -189,48 +205,76 @@ class ClusterRouter:
         deadline_at: Optional[float] = None,
         partial_results: bool = False,
     ) -> GuardedResult:
-        """Route one statement; charge and serve its single delay.
+        """Run one statement through the pipeline; serve its one delay.
 
+        Same contract as :meth:`repro.core.guard.DelayGuard.execute`.
         ``partial_results`` opts a scatter SELECT into degraded-mode
         serving: with one or more replica groups down it answers from
         the live shards and attaches per-shard coverage metadata to
         the result instead of failing closed — never silently partial.
         """
-        started = time.perf_counter()
-        if isinstance(sql_or_statement, str):
-            statement = parse_cached(normalize_sql(sql_or_statement))
-            source = sql_or_statement
-        else:
-            statement = sql_or_statement
-            source = None
+        return self._serve(
+            QueryContext(
+                sql_or_statement=sql_or_statement,
+                identity=identity,
+                record=record,
+                sleep=sleep,
+                deadline_at=deadline_at,
+                partial_results=partial_results,
+            )
+        )
+
+    # -- the data plane ------------------------------------------------------
+
+    def run_statement(self, ctx: QueryContext) -> ResultSet:
+        """Route the statement (see the module docstring)."""
+        statement = ctx.statement
+        if isinstance(statement, SelectStatement):
+            return self._execute_select(ctx)
         if isinstance(statement, TransactionStatement):
             raise ConfigError(
                 "explicit transactions are not supported through the "
                 "cluster router (statements are atomic per shard)"
             )
-        if self.accounts is not None:
-            if identity is None:
-                raise ConfigError(
-                    "this cluster requires an identity for every query"
-                )
-            try:
-                self.accounts.authorize_query(identity)
-            except Exception:
-                self.stats.note_denied()
-                raise
-        if isinstance(statement, SelectStatement):
-            return self._execute_select(
-                statement, source, identity, record, sleep, deadline_at,
-                started, partial_results,
-            )
+        source = ctx.sql_or_statement
+        if not isinstance(source, str):
+            source = None
         if isinstance(statement, InsertStatement):
-            result = self._execute_insert(statement, source)
-        elif isinstance(statement, (UpdateStatement, DeleteStatement)):
-            result = self._execute_dml(statement, source)
-        else:
-            result = self._broadcast(statement, source)
-        self.stats.note_query(0.0, time.perf_counter() - started, 0.0)
-        return GuardedResult(result=result, delay=0.0, identity=identity)
+            return self._execute_insert(statement, source)
+        if isinstance(statement, (UpdateStatement, DeleteStatement)):
+            return self._execute_dml(statement, source)
+        return self._broadcast(statement, source)
+
+    def pricing_policy(self, ctx: QueryContext) -> DelayPolicy:
+        """The owner's policy for a routed read, else the first live
+        shard's: every shard converges on the same global view."""
+        if ctx.route is not None:
+            return self._shard(ctx.route).guard.policy
+        return self._reference_shard().guard.policy
+
+    def record_reads(self, keys: List[Key]) -> None:
+        """Record served keys into each owner's tracker.
+
+        Owners stay the authoritative holders of their partition's
+        counts — gossip then carries these increments to every peer.
+        """
+        by_owner: Dict[int, List[Key]] = {}
+        for key in keys:
+            owner = self.shard_map.owner_of_rowid(key[1])
+            by_owner.setdefault(owner, []).append(key)
+        for owner, owned in by_owner.items():
+            if not self._is_available(owner):
+                # Partial-mode reads never return a down owner's rows;
+                # this is pure defence-in-depth. Recording at a live
+                # peer keeps the mass in the global view — gossip
+                # carries it onward, never understating.
+                self._reference_shard().guard.popularity.record_many(owned)
+                continue
+            self.shards[owner].guard.popularity.record_many(owned)
+
+    def record_writes(self, result: ResultSet) -> None:
+        """Nothing to do: each shard that applied the write recorded
+        its own update rates in its own pipeline."""
 
     # -- writes and DDL ------------------------------------------------------
 
@@ -248,7 +292,7 @@ class ClusterRouter:
         statement — recorded in routing stats and the audit log rather
         than silently discarded.
         """
-        guard = self._shard_guard(index)
+        guard = self._shard(index).guard
         try:
             guarded = guard.execute(
                 source if source is not None else statement,
@@ -259,7 +303,7 @@ class ClusterRouter:
             raise
         except Exception as error:
             self.shard_failures += 1
-            self.stats.note_denied()
+            self._note_unavailable()
             self._emit_audit(
                 "cluster_shard_failure",
                 shard=index,
@@ -315,16 +359,14 @@ class ClusterRouter:
             pk_position = names.index(pk.lower())
         else:
             pk_position = schema.position(pk)
-        for row in statement.rows:
-            for value in row:
-                if not isinstance(value, Literal):
-                    raise ConfigError(
-                        "sharded INSERT rows must be literal values"
-                    )
+        rows = [
+            tuple(_as_literal(value) for value in row)
+            for row in statement.rows
+        ]
         placed: List[List[Tuple[Literal, ...]]] = [
             [] for _ in range(self.shard_map.shard_count)
         ]
-        for row in statement.rows:
+        for row in rows:
             shard = self.shard_map.shard_for(
                 statement.table, row[pk_position].value
             )
@@ -355,6 +397,16 @@ class ClusterRouter:
 
     def _execute_dml(self, statement, source) -> ResultSet:
         """UPDATE/DELETE: owner when the key is proven, else broadcast."""
+        if self.shard_map.shard_count > 1 and contains_subquery(
+            statement.where
+        ):
+            # On the owner the subquery sees one partition; broadcast,
+            # each shard sees its own. Either answer is wrong.
+            kind = "UPDATE" if isinstance(statement, UpdateStatement) else "DELETE"
+            raise ConfigError(
+                f"sharded {kind} on {statement.table!r} cannot use a "
+                "subquery in WHERE"
+            )
         schema = self._reference_shard().database.catalog.table(
             statement.table
         ).schema
@@ -401,109 +453,47 @@ class ClusterRouter:
 
     # -- reads ---------------------------------------------------------------
 
-    def _execute_select(
-        self,
-        statement: SelectStatement,
-        source,
-        identity: Optional[str],
-        record: bool,
-        sleep: bool,
-        deadline_at: Optional[float],
-        started: float,
-        partial_results: bool = False,
-    ) -> GuardedResult:
+    def _execute_select(self, ctx: QueryContext) -> ResultSet:
+        statement = ctx.statement
         single = self._single_shard_for(statement)
-        engine_seconds = 0.0
-        coverage = None
         if single is not None:
-            guard = self._shard_guard(single)
-            try:
-                guarded = guard.execute(
-                    source if source is not None else statement,
-                    record=record,
-                    sleep=False,
-                    deadline_at=deadline_at,
-                )
-            except AccessDenied as denied:
-                if denied.reason == "deadline_exceeded":
-                    self.stats.note_deadline_abort()
-                else:
-                    self.stats.note_denied()
-                raise
+            result = self._shard(single).database.execute(
+                statement, tracked=True
+            )
             self.single_shard_queries += 1
-            keys = self._result_keys(guarded.result)
-            shards = [single]
-            delay = guarded.delay
-            per_tuple = guarded.per_tuple_delays
-            result_set = guarded.result
-        else:
-            self.scatter_queries += 1
-            answering = self._available_indexes()
-            missing = sorted(
-                set(range(len(self.shards))) - set(answering)
-            )
-            if missing and not partial_results:
-                # Fail closed: a silently partial scan would both hide
-                # rows and under-price the touched-set.
-                raise self._deny_unavailable(missing)
-            if missing:
-                self.partial_scatter_queries += 1
-                coverage = {
-                    "partial": True,
-                    "shards_total": len(self.shards),
-                    "shards_answered": answering,
-                    "shards_missing": missing,
-                }
-            merged = self._merged_database(tuple(answering))
-            engine_started = time.perf_counter()
-            result_set = merged.execute(statement, tracked=True)
-            engine_seconds = time.perf_counter() - engine_started
-            keys = self._result_keys(result_set)
-            # One global price from the merged touched-set, computed at
-            # the coordinator's gossip-merged trackers (the first live
-            # shard; every shard converges on the same global view).
-            per_tuple = self._reference_shard().guard.policy.delays_for(
-                keys
-            )
-            if self.config.charge_returned_tuples:
-                delay = sum(per_tuple)
-            else:
-                delay = max(per_tuple, default=0.0)
-            if deadline_at is not None and delay > 0:
-                if delay > deadline_at - time.monotonic():
-                    self.stats.note_deadline_abort()
-                    raise AccessDenied(
-                        "deadline_exceeded", retry_after=delay
-                    )
-            shards = self._record_at_owners(keys, record)
-        if self.accounts is not None and identity is not None:
-            self.accounts.record_retrieval(identity, len(keys))
-        self.stats.note_query(delay, engine_seconds, 0.0)
-        self.stats.note_select(delay, len(keys))
-        if self.forensics is not None and identity is not None:
-            self.forensics.observe(identity, keys, delay=delay)
-        self._emit_audit(
-            "cluster_select",
-            shards=shards,
-            identity=identity,
-            delay=delay,
-            tuples=len(keys),
-        )
-        if sleep and delay > 0:
-            self.clock.sleep(delay)
-        return GuardedResult(
-            result=result_set,
-            delay=delay,
-            per_tuple_delays=list(per_tuple),
-            identity=identity,
-            coverage=coverage,
-        )
+            ctx.route = single
+            return result
+        self.scatter_queries += 1
+        answering = self._available_indexes()
+        missing = sorted(set(range(len(self.shards))) - set(answering))
+        if missing and not ctx.partial_results:
+            # Fail closed: a silently partial scan would both hide rows
+            # and under-price the touched-set.
+            raise self._deny_unavailable(missing)
+        if missing:
+            self.partial_scatter_queries += 1
+            ctx.coverage = {
+                "partial": True,
+                "shards_total": len(self.shards),
+                "shards_answered": answering,
+                "shards_missing": missing,
+            }
+        merged = self._merged_database(tuple(answering))
+        return merged.execute(statement, tracked=True)
 
     def _single_shard_for(
         self, statement: SelectStatement
     ) -> Optional[int]:
-        """The one shard that can answer this SELECT alone, if proven."""
-        if statement.joins:
+        """The one shard that can answer this SELECT alone, if proven.
+
+        A subquery reads its own tables, which a single shard holds
+        only one partition of, so any subquery forces a scatter.
+        """
+        if (
+            statement.joins
+            or contains_subquery(statement.where)
+            or contains_subquery(statement.having)
+        ):
             return None
         catalog = self._reference_shard().database.catalog
         if not catalog.has_table(statement.table):
@@ -524,42 +514,6 @@ class ClusterRouter:
         if len(owners) == 1:
             return owners.pop()
         return None
-
-    def _result_keys(self, result: ResultSet) -> List[Key]:
-        """The charged tuple keys for a SELECT result."""
-        if result.touched:
-            return list(result.touched)
-        if result.table is None:
-            return []
-        table = result.table.lower()
-        return [(table, rowid) for rowid in result.rowids]
-
-    def _record_at_owners(
-        self, keys: List[Key], record: bool
-    ) -> List[int]:
-        """Record scatter-read accesses into each owner's tracker.
-
-        Owners stay the authoritative holders of their partition's
-        counts — gossip then carries these increments to every peer.
-        Returns the touched shard indexes (for the audit event).
-        """
-        by_owner: Dict[int, List[Key]] = {}
-        for key in keys:
-            owner = self.shard_map.owner_of_rowid(key[1])
-            by_owner.setdefault(owner, []).append(key)
-        if record and self.config.record_accesses:
-            for owner, owned in by_owner.items():
-                if not self._is_available(owner):
-                    # Partial-mode reads never return a down owner's
-                    # rows; this is pure defence-in-depth. Recording at
-                    # a live peer keeps the mass in the global view —
-                    # gossip carries it onward, never understating.
-                    self._reference_shard().guard.popularity.record_many(
-                        owned
-                    )
-                    continue
-                self.shards[owner].guard.popularity.record_many(owned)
-        return sorted(by_owner)
 
     # -- the merged read view ------------------------------------------------
 
@@ -621,3 +575,79 @@ class ClusterRouter:
             "unavailable_denials": self.unavailable_denials,
             "partial_scatter_queries": self.partial_scatter_queries,
         }
+
+    # -- cluster-wide read-only reports --------------------------------------
+
+    def _live_guards(self) -> List:
+        return [self.shards[index].guard for index in self._available_indexes()]
+
+    @property
+    def popularity(self):
+        """A live shard's gossip-merged popularity view."""
+        return self._reference_shard().guard.popularity
+
+    def extraction_cost(self, table: Optional[str] = None) -> float:
+        """Global extraction cost: the sum over every shard's tuples.
+
+        Each shard prices its own partition against the merged trackers
+        and the global N, so the sum equals the single-node figure up
+        to gossip staleness. Down replica groups are skipped — their
+        partitions are unreadable, so the figure is a lower bound while
+        degraded (the health view flags the missing groups).
+        """
+        return sum(guard.extraction_cost(table) for guard in self._live_guards())
+
+    def max_extraction_cost(self, table: Optional[str] = None) -> float:
+        if self.config.cap is None:
+            raise ConfigError("max_extraction_cost requires a delay cap")
+        if table is None:
+            return self.population() * self.config.cap
+        total = 0
+        for index in self._available_indexes():
+            database = self.shards[index].database
+            with database.read_view():
+                total += len(database.catalog.table(table))
+        return total * self.config.cap
+
+    def staleness_report(self) -> Dict[str, Dict]:
+        """Per-table staleness, merged across shards.
+
+        Extraction horizons, update rates, and populations add; the
+        stale fraction is the population-weighted mean (it is an
+        expected count divided by a population, and both sum).
+        """
+        merged: Dict[str, Dict] = {}
+        for guard in self._live_guards():
+            for table, entry in guard.staleness_report().items():
+                slot = merged.setdefault(
+                    table,
+                    {
+                        "population": 0,
+                        "extraction_seconds": 0.0,
+                        "update_rate_per_second": 0.0,
+                        "updated_keys": 0,
+                        "_expected_stale": 0.0,
+                    },
+                )
+                slot["population"] += entry["population"]
+                slot["extraction_seconds"] += entry["extraction_seconds"]
+                slot["update_rate_per_second"] += entry[
+                    "update_rate_per_second"
+                ]
+                slot["updated_keys"] += entry["updated_keys"]
+                slot["_expected_stale"] += (
+                    entry["smax_fraction"] * entry["population"]
+                )
+        for slot in merged.values():
+            slot["smax_fraction"] = slot.pop("_expected_stale") / max(
+                slot["population"], 1
+            )
+        return merged
+
+    def refresh_staleness_gauges(self) -> Dict[str, Dict]:
+        """The server's health op calls this; clusters just report.
+
+        Shard guards run with observability disabled, so there are no
+        per-shard gauges to pump — the merged report is the product.
+        """
+        return self.staleness_report()

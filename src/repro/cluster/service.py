@@ -11,16 +11,18 @@ glue that keeps the *defense* single-node-equivalent:
   popularity/update-rate trackers convergent, so a single-shard
   fast-path query is priced from (boundedly stale) global counts;
 - a :class:`~repro.cluster.router.ClusterRouter` serves every
-  statement with exactly one globally-priced delay;
+  statement through the guard pipeline with exactly one
+  globally-priced delay;
 - accounts live at the router, never at the shards, so per-identity
   budgets cannot be multiplied by spraying shards.
 
 The whole composition exposes the :class:`DataProviderService` surface
 (``guard``/``query``/``register``/``report``/``checkpoint``/
-``durability_health``), so :class:`~repro.server.DelayServer` and the
-CLI serve a cluster unchanged; ``cluster_health()`` additionally feeds
-the server's ``health`` op a shard-level view (per-shard lag, gossip
-round-trips, count divergence).
+``durability_health``) — ``guard`` is the router itself — so
+:class:`~repro.server.DelayServer` and the CLI serve a cluster
+unchanged; ``cluster_health()`` additionally feeds the server's
+``health`` op a shard-level view (per-shard lag, gossip round-trips,
+count divergence).
 """
 
 from __future__ import annotations
@@ -44,130 +46,6 @@ from .gossip import GossipCoordinator
 from .replication import GroupMonitor, ReplicaGroup, ReplicaMember
 from .router import ClusterRouter
 from .sharding import ShardMap
-
-
-class ClusterGuard:
-    """The router dressed in :class:`~repro.core.guard.DelayGuard`'s API.
-
-    :class:`~repro.server.DelayServer` and the CLI talk to
-    ``service.guard``; this adapter forwards queries to the router and
-    aggregates the read-only surfaces (stats, forensics, staleness,
-    extraction cost) cluster-wide. ``result_cache`` is None: the
-    server's I/O-loop fast path is a single-guard optimisation and
-    simply stays off for clusters.
-    """
-
-    result_cache = None
-
-    def __init__(self, cluster: "ClusterService"):
-        self._cluster = cluster
-        self.config = cluster.config
-
-    # -- the server's query surface -----------------------------------------
-
-    def execute(
-        self,
-        sql_or_statement,
-        identity: Optional[str] = None,
-        record: bool = True,
-        sleep: bool = True,
-        deadline_at: Optional[float] = None,
-        partial_results: bool = False,
-    ) -> GuardedResult:
-        return self._cluster.router.execute(
-            sql_or_statement,
-            identity=identity,
-            record=record,
-            sleep=sleep,
-            deadline_at=deadline_at,
-            partial_results=partial_results,
-        )
-
-    @property
-    def stats(self):
-        return self._cluster.router.stats
-
-    @property
-    def forensics(self):
-        return self._cluster.router.forensics
-
-    @property
-    def popularity(self):
-        """A live shard's gossip-merged popularity view."""
-        return self._cluster.router._reference_shard().guard.popularity
-
-    # -- aggregated read-only surfaces --------------------------------------
-
-    def population(self) -> int:
-        return self._cluster.population()
-
-    def extraction_cost(self, table: Optional[str] = None) -> float:
-        """Global extraction cost: the sum over every shard's tuples.
-
-        Each shard prices its own partition against the merged trackers
-        and the global N, so the sum equals the single-node figure up
-        to gossip staleness. Down replica groups are skipped — their
-        partitions are unreadable, so the figure is a lower bound while
-        degraded (the health view flags the missing groups).
-        """
-        return sum(
-            guard.extraction_cost(table)
-            for guard in self._cluster.live_guards()
-        )
-
-    def max_extraction_cost(self, table: Optional[str] = None) -> float:
-        if self.config.cap is None:
-            raise ConfigError("max_extraction_cost requires a delay cap")
-        if table is not None:
-            total = 0
-            for shard in self._cluster.live_shards():
-                with shard.database.read_view():
-                    total += len(shard.database.catalog.table(table))
-            return total * self.config.cap
-        return self.population() * self.config.cap
-
-    def staleness_report(self) -> Dict[str, Dict]:
-        """Per-table staleness, merged across shards.
-
-        Extraction horizons, update rates, and populations add; the
-        stale fraction is the population-weighted mean (it is an
-        expected count divided by a population, and both sum).
-        """
-        merged: Dict[str, Dict] = {}
-        for guard in self._cluster.live_guards():
-            for table, entry in guard.staleness_report().items():
-                slot = merged.setdefault(
-                    table,
-                    {
-                        "population": 0,
-                        "extraction_seconds": 0.0,
-                        "update_rate_per_second": 0.0,
-                        "updated_keys": 0,
-                        "_expected_stale": 0.0,
-                    },
-                )
-                slot["population"] += entry["population"]
-                slot["extraction_seconds"] += entry["extraction_seconds"]
-                slot["update_rate_per_second"] += entry[
-                    "update_rate_per_second"
-                ]
-                slot["updated_keys"] += entry["updated_keys"]
-                slot["_expected_stale"] += (
-                    entry["smax_fraction"] * entry["population"]
-                )
-        for slot in merged.values():
-            slot["smax_fraction"] = slot.pop("_expected_stale") / max(
-                slot["population"], 1
-            )
-        return merged
-
-    def refresh_staleness_gauges(self) -> Dict[str, Dict]:
-        """The server's health op calls this; clusters just report.
-
-        Shard guards run with observability disabled, so there are no
-        per-shard gauges to pump — the merged report is the product.
-        """
-        return self.staleness_report()
 
 
 class ClusterService:
@@ -296,7 +174,10 @@ class ClusterService:
             accounts=self.accounts,
             obs=self.obs,
         )
-        self.guard = ClusterGuard(self)
+        #: the server and CLI talk to ``service.guard``; on a cluster
+        #: that is the router (it has no result cache, so the server's
+        #: I/O-loop fast path stays off).
+        self.guard = self.router
         self.checkpoints_completed = 0
         self._register_metrics()
         if self.gossip is not None and gossip_interval is not None:
@@ -402,17 +283,6 @@ class ClusterService:
     def guards(self) -> List:
         """Each shard's *current* serving guard (promotion redirects)."""
         return [shard.guard for shard in self.shards]
-
-    def live_shards(self) -> List:
-        """The shards currently able to serve (groups may be down)."""
-        return [
-            shard
-            for shard in self.shards
-            if getattr(shard, "available", True)
-        ]
-
-    def live_guards(self) -> List:
-        return [shard.guard for shard in self.live_shards()]
 
     def all_member_guards(self) -> List:
         """Every local member's guard, followers included — the gossip

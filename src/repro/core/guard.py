@@ -18,6 +18,11 @@ The lifecycle itself runs as an explicit staged pipeline
 account → price → record → sleep. Only the *execute* stage touches the
 engine lock (shared for reads, exclusive for writes), so concurrent
 queries overlap everywhere else — there is no statement-level gate.
+
+:class:`FrontDoor` is what every guarded entry point shares — stats,
+forensics, metrics, the pipeline, and the traced/audited run around
+it. :class:`DelayGuard` plugs in a single node's data plane; the
+cluster router plugs in a routed one.
 """
 
 from __future__ import annotations
@@ -227,129 +232,83 @@ class GuardStats:
         return accounting / engine
 
 
-class DelayGuard:
-    """Wraps a database so every retrieval pays its popularity price.
+class FrontDoor:
+    """The guard surface every front door shares.
 
-    Args:
-        database: the engine to protect.
-        config: declarative configuration (see :class:`GuardConfig`).
-        clock: time source; defaults to a fresh :class:`VirtualClock`
-            so tests and benchmarks never actually block.
-        policy: a pre-built policy, overriding ``config.policy``.
-        accounts: an :class:`AccountManager` enforcing §2.4 defenses;
-            when provided, ``execute`` requires a registered identity.
-        obs: observability bundle (registry + tracer). A fresh enabled
-            one by default; pass ``Observability.disabled()`` to skip
-            all metric/trace work (overhead-sensitive replays), or the
-            service's bundle so one scrape covers every layer. Each
-            guard needs its own registry (metric names would collide).
+    Owns the per-query bookkeeping — :class:`GuardStats`, the optional
+    forensics monitor, the query-level metrics, and the
+    :class:`~repro.core.pipeline.QueryPipeline` — and runs one query
+    through it with tracing and audit (:meth:`_serve`). Subclasses
+    supply the three data-plane steps the pipeline delegates:
 
-    >>> from repro.engine import Database
-    >>> db = Database()
-    >>> _ = db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-    >>> _ = db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
-    >>> guard = DelayGuard(db, config=GuardConfig(cap=5.0))
-    >>> first = guard.execute("SELECT * FROM t WHERE id = 1")
-    >>> first.delay  # cold start: the cap
-    5.0
+    - :meth:`run_statement` (execute): produce the engine result;
+    - :meth:`pricing_policy` (price): the policy whose counts price
+      the query's keys;
+    - :meth:`record_reads` / :meth:`record_writes` (record): feed the
+      trackers future prices are computed from.
+
+    Subclasses call :meth:`_register_metrics` (when observability is
+    on) and build ``self.pipeline`` once their own state exists.
     """
+
+    #: result cache consulted by the cache stages (None: always execute).
+    result_cache: Optional[ResultCache] = None
 
     def __init__(
         self,
-        database: Database,
-        config: Optional[GuardConfig] = None,
-        clock: Optional[Clock] = None,
-        policy: Optional[DelayPolicy] = None,
-        accounts: Optional[AccountManager] = None,
-        obs: Optional[Observability] = None,
-        population_provider: Optional[Callable[[], int]] = None,
+        config: GuardConfig,
+        clock: Clock,
+        accounts: Optional[AccountManager],
+        obs: Observability,
+        population: Callable[[], int],
     ):
-        self.database = database
-        self.config = (config if config is not None else GuardConfig()).validate()
-        self.clock = clock if clock is not None else VirtualClock()
+        self.config = config.validate()
+        self.clock = clock
         self.accounts = accounts
+        self.obs = obs
         self.stats = GuardStats()
-        #: cluster hook: when set, :meth:`population` asks the provider
-        #: for the *global* tuple count instead of the local engine, so
-        #: a shard prices against N of the whole dataset (per-shard N
-        #: would divide every delay by the shard count).
-        self._population_provider = population_provider
-        self._population_cache: Optional[Tuple[int, int]] = None
-        self.popularity = PopularityTracker(
-            store=self._build_store(),
-            decay_rate=self.config.decay_rate,
-            origin=self.config.node_id,
-        )
-        self.update_rates = UpdateRateTracker(
-            clock=self.clock,
-            time_constant=self.config.update_time_constant,
-            origin=self.config.node_id,
-        )
-        #: key -> clock time of last update (for staleness evaluation).
-        #: Guarded by ``_updates_lock`` — the old server statement lock
-        #: used to serialise writers to this dict; without that gate the
-        #: guard must protect it itself.
-        self.last_update_times: Dict[TupleKey, float] = {}
-        self._updates_lock = threading.Lock()
-        self.policy = policy if policy is not None else self._build_policy()
-        #: delay-aware result cache (None unless configured): hits skip
-        #: only the execute stage; pricing and recording always run.
-        self.result_cache = (
-            ResultCache(
-                maxsize=self.config.result_cache_size,
-                ttl=self.config.result_cache_ttl,
-                clock=self.clock.now,
-            )
-            if self.config.result_cache_size is not None
-            else None
-        )
-        self.obs = obs if obs is not None else Observability()
         #: live extraction forensics (None unless configured): a
         #: CoverageMonitor fed by the pipeline's forensics stage,
         #: risk-scored and exported by the obs-layer ForensicsMonitor.
         self.forensics: Optional[ForensicsMonitor] = None
-        if self.config.forensics:
+        if config.forensics:
             self.forensics = ForensicsMonitor(
                 CoverageMonitor(
-                    population=self.population,
-                    coverage_threshold=(
-                        self.config.forensics_coverage_threshold
-                    ),
-                    novelty_threshold=(
-                        self.config.forensics_novelty_threshold
-                    ),
-                    window=self.config.forensics_window,
-                    min_requests=self.config.forensics_min_requests,
-                    max_identities=self.config.forensics_max_identities,
+                    population=population,
+                    coverage_threshold=config.forensics_coverage_threshold,
+                    novelty_threshold=config.forensics_novelty_threshold,
+                    window=config.forensics_window,
+                    min_requests=config.forensics_min_requests,
+                    max_identities=config.forensics_max_identities,
                     max_keys_per_identity=(
-                        self.config.forensics_max_keys_per_identity
+                        config.forensics_max_keys_per_identity
                     ),
                 ),
-                audit=self.obs.audit if self.obs.enabled else None,
+                audit=obs.audit if obs.enabled else None,
             )
-        if self.config.parse_cache_size is not None:
-            configure_parse_cache(self.config.parse_cache_size)
-        if (
-            not self.config.vectorized_execution
-            or self.config.scan_workers > 0
-            or self.config.parallel_scan_min_rows != 4096
-        ):
-            # Only reconfigure when the config deviates from the engine
-            # defaults: a Database may be shared (tests, embedding) and
-            # rebuilding its executor resets the path counters.
-            self.database.configure_execution(
-                vectorized=self.config.vectorized_execution,
-                scan_workers=self.config.scan_workers,
-                parallel_scan_min_rows=self.config.parallel_scan_min_rows,
-            )
-        if self.obs.enabled:
-            self._register_metrics()
-        self.pipeline = QueryPipeline(self)
 
-    # -- construction helpers ----------------------------------------------
+    # -- the data plane (subclass hooks) -------------------------------------
+
+    def run_statement(self, ctx: QueryContext) -> ResultSet:
+        """Execute ``ctx.statement``; the pipeline's *execute* step."""
+        raise NotImplementedError
+
+    def pricing_policy(self, ctx: QueryContext) -> DelayPolicy:
+        """The policy that prices ``ctx.keys``; the *price* step."""
+        raise NotImplementedError
+
+    def record_reads(self, keys: List[TupleKey]) -> None:
+        """Count one retrieval of each served key."""
+        raise NotImplementedError
+
+    def record_writes(self, result: ResultSet) -> None:
+        """Feed a committed write's rowids to the update trackers."""
+        raise NotImplementedError
+
+    # -- shared machinery -----------------------------------------------------
 
     def _register_metrics(self) -> None:
-        """Create the guard's metric handles and state gauges.
+        """Create the query-level metric handles.
 
         The unlabelled totals are callback-backed views over
         :attr:`stats` — the hot path pays nothing for them, and a scrape
@@ -406,6 +365,189 @@ class DelayGuard:
         # registering the same object means a scrape and GuardStats can
         # never disagree.
         registry.register(self.stats.delay_histogram)
+        if self.forensics is not None:
+            self.forensics.register_metrics(registry)
+
+    def _serve(self, ctx: QueryContext) -> Optional[GuardedResult]:
+        """Run ``ctx`` through the pipeline, traced and audited.
+
+        Returns None only for a ``cache_only`` probe that missed.
+        """
+        identity = ctx.identity
+        trace = audit = None
+        if self.obs.enabled:
+            sql = ctx.sql_or_statement
+            trace = ctx.trace = QueryTrace(
+                "query",
+                identity=identity,
+                sql=sql if isinstance(sql, str) else None,
+            )
+            audit = self.obs.audit
+        try:
+            self.pipeline.run(ctx)
+        except AccessDenied as denied:
+            if trace is not None:
+                self.obs.tracer.finish(
+                    trace.finish("denied", reason=denied.reason)
+                )
+            if audit is not None:
+                audit.emit(
+                    "query_deadline_aborted"
+                    if denied.reason == "deadline_exceeded"
+                    else "query_denied",
+                    trace_id=trace.trace_id,
+                    identity=identity,
+                    reason=denied.reason,
+                    retry_after=getattr(denied, "retry_after", None),
+                )
+            raise
+        except Exception as error:
+            if trace is not None:
+                self.obs.tracer.finish(
+                    trace.finish("error", reason=str(error))
+                )
+            raise
+        if ctx.cache_only and not ctx.cache_hit:
+            # Fast-path probe missed: discard the probe trace (the full
+            # pipeline run that follows will record its own) and hand
+            # the query back unexecuted and uncharged.
+            return None
+        if trace is not None:
+            self.obs.tracer.finish(
+                trace.finish("ok", delay=ctx.delay, rows=ctx.result.rowcount)
+            )
+        if audit is not None:
+            audit.emit(
+                "query_cached" if ctx.cache_hit else "query_served",
+                trace_id=trace.trace_id,
+                identity=identity,
+                delay=ctx.delay,
+                rows=ctx.result.rowcount,
+                table=ctx.result.table,
+            )
+            if ctx.delay > 0:
+                audit.emit(
+                    "delay_priced",
+                    trace_id=trace.trace_id,
+                    identity=identity,
+                    delay=ctx.delay,
+                    tuples=len(ctx.keys),
+                )
+        return GuardedResult(
+            result=ctx.result,
+            delay=ctx.delay,
+            per_tuple_delays=ctx.per_tuple,
+            identity=identity,
+            trace=trace,
+            cached=ctx.cache_hit,
+            coverage=ctx.coverage,
+        )
+
+
+class DelayGuard(FrontDoor):
+    """Wraps a database so every retrieval pays its popularity price.
+
+    Args:
+        database: the engine to protect.
+        config: declarative configuration (see :class:`GuardConfig`).
+        clock: time source; defaults to a fresh :class:`VirtualClock`
+            so tests and benchmarks never actually block.
+        policy: a pre-built policy, overriding ``config.policy``.
+        accounts: an :class:`AccountManager` enforcing §2.4 defenses;
+            when provided, ``execute`` requires a registered identity.
+        obs: observability bundle (registry + tracer). A fresh enabled
+            one by default; pass ``Observability.disabled()`` to skip
+            all metric/trace work (overhead-sensitive replays), or the
+            service's bundle so one scrape covers every layer. Each
+            guard needs its own registry (metric names would collide).
+
+    >>> from repro.engine import Database
+    >>> db = Database()
+    >>> _ = db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+    >>> _ = db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+    >>> guard = DelayGuard(db, config=GuardConfig(cap=5.0))
+    >>> first = guard.execute("SELECT * FROM t WHERE id = 1")
+    >>> first.delay  # cold start: the cap
+    5.0
+    """
+
+    def __init__(
+        self,
+        database: Database,
+        config: Optional[GuardConfig] = None,
+        clock: Optional[Clock] = None,
+        policy: Optional[DelayPolicy] = None,
+        accounts: Optional[AccountManager] = None,
+        obs: Optional[Observability] = None,
+        population_provider: Optional[Callable[[], int]] = None,
+    ):
+        self.database = database
+        #: cluster hook: when set, :meth:`population` asks the provider
+        #: for the *global* tuple count instead of the local engine, so
+        #: a shard prices against N of the whole dataset (per-shard N
+        #: would divide every delay by the shard count).
+        self._population_provider = population_provider
+        self._population_cache: Optional[Tuple[int, int]] = None
+        super().__init__(
+            config if config is not None else GuardConfig(),
+            clock if clock is not None else VirtualClock(),
+            accounts,
+            obs if obs is not None else Observability(),
+            self.population,
+        )
+        self.popularity = PopularityTracker(
+            store=self._build_store(),
+            decay_rate=self.config.decay_rate,
+            origin=self.config.node_id,
+        )
+        self.update_rates = UpdateRateTracker(
+            clock=self.clock,
+            time_constant=self.config.update_time_constant,
+            origin=self.config.node_id,
+        )
+        #: key -> clock time of last update (for staleness evaluation).
+        #: Guarded by ``_updates_lock`` — the old server statement lock
+        #: used to serialise writers to this dict; without that gate the
+        #: guard must protect it itself.
+        self.last_update_times: Dict[TupleKey, float] = {}
+        self._updates_lock = threading.Lock()
+        self.policy = policy if policy is not None else self._build_policy()
+        #: delay-aware result cache (None unless configured): hits skip
+        #: only the execute stage; pricing and recording always run.
+        self.result_cache = (
+            ResultCache(
+                maxsize=self.config.result_cache_size,
+                ttl=self.config.result_cache_ttl,
+                clock=self.clock.now,
+            )
+            if self.config.result_cache_size is not None
+            else None
+        )
+        if self.config.parse_cache_size is not None:
+            configure_parse_cache(self.config.parse_cache_size)
+        if (
+            not self.config.vectorized_execution
+            or self.config.scan_workers > 0
+            or self.config.parallel_scan_min_rows != 4096
+        ):
+            # Only reconfigure when the config deviates from the engine
+            # defaults: a Database may be shared (tests, embedding) and
+            # rebuilding its executor resets the path counters.
+            self.database.configure_execution(
+                vectorized=self.config.vectorized_execution,
+                scan_workers=self.config.scan_workers,
+                parallel_scan_min_rows=self.config.parallel_scan_min_rows,
+            )
+        if self.obs.enabled:
+            self._register_metrics()
+        self.pipeline = QueryPipeline(self)
+
+    # -- construction helpers ----------------------------------------------
+
+    def _register_metrics(self) -> None:
+        """Add the single node's state gauges to the query metrics."""
+        super()._register_metrics()
+        registry = self.obs.registry
         registry.gauge(
             "guard_population", "Protected tuples (N in the formulas)"
         ).set_function(self.population)
@@ -483,8 +625,6 @@ class DelayGuard:
                 registry.gauge(
                     f"guard_result_cache_{stat}", help_text
                 ).set_function(lambda name=stat: cache.info()[name])
-        if self.forensics is not None:
-            self.forensics.register_metrics(registry)
         # Per-table staleness-guarantee gauges. Labelled gauges cannot
         # be callback-backed, so they are refreshed on demand by
         # refresh_staleness_gauges() (the server's health op does).
@@ -646,87 +786,49 @@ class DelayGuard:
             AccessDenied: if an account-level limit refuses the query,
                 or the deadline budget cannot be met.
         """
-        ctx = QueryContext(
-            sql_or_statement=sql_or_statement,
-            identity=identity,
-            record=record,
-            sleep=sleep,
-            deadline_at=deadline_at,
-            cache_only=cache_only,
-        )
-        if not self.obs.enabled:
-            self.pipeline.run(ctx)
-            if cache_only and not ctx.cache_hit:
-                return None
-            return GuardedResult(
-                result=ctx.result,
-                delay=ctx.delay,
-                per_tuple_delays=ctx.per_tuple,
+        return self._serve(
+            QueryContext(
+                sql_or_statement=sql_or_statement,
                 identity=identity,
-                cached=ctx.cache_hit,
-            )
-        tracer = self.obs.tracer
-        ctx.trace = QueryTrace(
-            "query",
-            identity=identity,
-            sql=sql_or_statement
-            if isinstance(sql_or_statement, str)
-            else None,
-        )
-        audit = self.obs.audit
-        try:
-            self.pipeline.run(ctx)
-        except AccessDenied as denied:
-            tracer.finish(ctx.trace.finish("denied", reason=denied.reason))
-            if audit is not None:
-                audit.emit(
-                    "query_deadline_aborted"
-                    if denied.reason == "deadline_exceeded"
-                    else "query_denied",
-                    trace_id=ctx.trace.trace_id,
-                    identity=identity,
-                    reason=denied.reason,
-                    retry_after=getattr(denied, "retry_after", None),
-                )
-            raise
-        except Exception as error:
-            tracer.finish(ctx.trace.finish("error", reason=str(error)))
-            raise
-        if cache_only and not ctx.cache_hit:
-            # Fast-path probe missed: discard the probe trace (the full
-            # pipeline run that follows will record its own) and hand
-            # the query back unexecuted and uncharged.
-            return None
-        tracer.finish(
-            ctx.trace.finish(
-                "ok", delay=ctx.delay, rows=ctx.result.rowcount
+                record=record,
+                sleep=sleep,
+                deadline_at=deadline_at,
+                cache_only=cache_only,
             )
         )
-        if audit is not None:
-            audit.emit(
-                "query_cached" if ctx.cache_hit else "query_served",
-                trace_id=ctx.trace.trace_id,
-                identity=identity,
-                delay=ctx.delay,
-                rows=ctx.result.rowcount,
-                table=ctx.result.table,
-            )
-            if ctx.delay > 0:
-                audit.emit(
-                    "delay_priced",
-                    trace_id=ctx.trace.trace_id,
-                    identity=identity,
-                    delay=ctx.delay,
-                    tuples=len(ctx.keys),
-                )
-        return GuardedResult(
-            result=ctx.result,
-            delay=ctx.delay,
-            per_tuple_delays=ctx.per_tuple,
-            identity=identity,
-            trace=ctx.trace,
-            cached=ctx.cache_hit,
+
+    # -- the data plane ---------------------------------------------------------
+
+    def run_statement(self, ctx: QueryContext) -> ResultSet:
+        """Run the statement on this node's engine.
+
+        ``Database.execute`` takes the engine's shared read side for
+        SELECT/EXPLAIN and the exclusive write side for everything
+        else. The original SQL text goes along when there is one: an
+        attached write-ahead journal records committed statements as
+        text, and a pre-parsed statement carries none.
+        """
+        source = ctx.sql_or_statement
+        return self.database.execute(
+            ctx.statement,
+            source=source if isinstance(source, str) else None,
+            tracked=True,
         )
+
+    def pricing_policy(self, ctx: QueryContext) -> DelayPolicy:
+        return self.policy
+
+    def record_reads(self, keys: List[TupleKey]) -> None:
+        self.popularity.record_many(keys)
+
+    def record_writes(self, result: ResultSet) -> None:
+        clock_now = self.clock.now()
+        table_key = result.table.lower()
+        with self._updates_lock:
+            for rowid in result.rowids:
+                key = (table_key, rowid)
+                self.update_rates.record_update(key)
+                self.last_update_times[key] = clock_now
 
     # -- analysis hooks ----------------------------------------------------------
 

@@ -14,6 +14,14 @@ declares which Table 5 cost bucket its time lands in: *parse* and
 *execute* feed ``engine_seconds``, the accounting stages feed
 ``accounting_seconds``, and *sleep* is the product, charged to neither.
 
+Every front door runs this one pipeline: a single node's
+:class:`~repro.core.guard.DelayGuard` and a cluster's
+:class:`~repro.cluster.router.ClusterRouter` differ only in the three
+data-plane steps the guard supplies — ``run_statement`` (execute),
+``pricing_policy`` (price) and ``record_reads``/``record_writes``
+(record). Admission, accounts, limits, deadlines, stats, forensics,
+tracing and audit are shared, so a guard limit holds in every shape.
+
 Concurrency: no stage holds the engine lock except *execute*, which
 delegates to :meth:`repro.engine.database.Database.execute` — the engine
 takes its own read/write lock there (shared for SELECT/EXPLAIN,
@@ -28,8 +36,8 @@ snapshot instead of re-locking per tuple.
 Denial taxonomy: every refusal is a structured
 :class:`~repro.core.errors.AccessDenied` with a machine-readable
 ``reason`` — ``result_limit``, ``deadline_exceeded``, ``query_quota``,
-``registration_rate``, ``subnet_rate``, and (cluster-level, raised by
-the router rather than a stage) ``shard_unavailable`` with the dead
+``registration_rate``, ``subnet_rate``, and (cluster only, raised by
+the router's execute or price step) ``shard_unavailable`` with the dead
 shard indexes and a ``retry_after`` covering the failover window. The
 server maps them all onto one wire shape; nothing in the stack ever
 surfaces a raw infrastructure exception to a client.
@@ -47,7 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..engine.parser.ast import SelectStatement
 from ..engine.parser.normalize import normalize_sql
@@ -58,7 +66,7 @@ from .result_cache import CachedResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.executor import ResultSet
-    from .guard import DelayGuard
+    from .guard import FrontDoor
 
 #: Bucket bounds for the per-stage latency histograms: stages run in
 #: microseconds (accounting) up to tens of seconds (sleep).
@@ -77,6 +85,9 @@ class QueryContext:
     #: out (before authorize charges the account) when the result
     #: cache misses. See :meth:`QueryPipeline.run`.
     cache_only: bool = False
+    #: cluster scatter reads: serve from the live shards (with
+    #: ``coverage`` set) instead of failing closed when one is down.
+    partial_results: bool = False
     #: absolute ``time.monotonic()`` deadline for the whole request, or
     #: None for no budget. Checked at every stage boundary, and by the
     #: price stage against the mandated delay itself (a delay longer
@@ -96,6 +107,12 @@ class QueryContext:
     cache_hit: bool = False
     #: the engine result (set by *execute*).
     result: Optional["ResultSet"] = None
+    #: the shard a cluster's execute step routed a SELECT to (None for
+    #: a single node or a scatter); its price step prices there.
+    route: Optional[int] = None
+    #: per-shard coverage of a partial cluster scatter (None when
+    #: complete).
+    coverage: Optional[Dict] = None
     #: base tuples charged for a SELECT (set by *account*).
     keys: List[Tuple[str, int]] = field(default_factory=list)
     per_tuple: List[float] = field(default_factory=list)
@@ -122,7 +139,7 @@ class Stage:
     name = "stage"
     bucket: Optional[str] = None
 
-    def __init__(self, guard: "DelayGuard"):
+    def __init__(self, guard: "FrontDoor"):
         self.guard = guard
 
     def applies(self, ctx: QueryContext) -> bool:
@@ -227,12 +244,13 @@ class CacheLookupStage(Stage):
 
 
 class ExecuteStage(Stage):
-    """Run the statement on the engine.
+    """Run the statement through the guard's data plane.
 
-    The only stage that touches the engine lock: ``Database.execute``
-    classifies the statement and takes the shared read side for
-    SELECT/EXPLAIN or the exclusive write side for everything else.
-    Skipped when the cache stage already produced the result.
+    The only stage that touches an engine lock: a single node runs its
+    own engine (shared read side for SELECT/EXPLAIN, exclusive write
+    side for everything else); a cluster routes to the owner shard, the
+    merged scatter view, or the write fan-out. Skipped when the cache
+    stage already produced the result.
     """
 
     name = "execute"
@@ -242,17 +260,7 @@ class ExecuteStage(Stage):
         return not ctx.cache_hit
 
     def run(self, ctx: QueryContext) -> None:
-        # Pass the original SQL text through when we have it: an
-        # attached write-ahead journal records committed statements as
-        # text, and a pre-parsed statement carries none.
-        source = (
-            ctx.sql_or_statement
-            if isinstance(ctx.sql_or_statement, str)
-            else None
-        )
-        ctx.result = self.guard.database.execute(
-            ctx.statement, source=source, tracked=True
-        )
+        ctx.result = self.guard.run_statement(ctx)
         if self.guard.obs.enabled:
             path = getattr(ctx.result, "execution_path", None)
             if path:
@@ -349,7 +357,7 @@ class PriceStage(Stage):
 
     def run(self, ctx: QueryContext) -> None:
         guard = self.guard
-        ctx.per_tuple = guard.policy.delays_for(ctx.keys)
+        ctx.per_tuple = guard.pricing_policy(ctx).delays_for(ctx.keys)
         if guard.config.charge_returned_tuples:
             ctx.delay = sum(ctx.per_tuple)
         else:
@@ -388,7 +396,7 @@ class RecordStage(Stage):
         result = ctx.result
         if result.statement_kind == "select":
             if ctx.record and guard.config.record_accesses:
-                guard.popularity.record_many(ctx.keys)
+                guard.record_reads(ctx.keys)
             guard.stats.note_select(ctx.delay, len(ctx.keys))
             if (
                 ctx.trace is not None
@@ -398,13 +406,7 @@ class RecordStage(Stage):
                 guard._m_identity_delay.inc(ctx.delay, identity=ctx.identity)
             return
         if guard.config.record_updates and result.table is not None:
-            clock_now = guard.clock.now()
-            table_key = result.table.lower()
-            with guard._updates_lock:
-                for rowid in result.rowids:
-                    key = (table_key, rowid)
-                    guard.update_rates.record_update(key)
-                    guard.last_update_times[key] = clock_now
+            guard.record_writes(result)
 
 
 class ForensicsStage(Stage):
@@ -480,7 +482,7 @@ class QueryPipeline:
         SleepStage,
     )
 
-    def __init__(self, guard: "DelayGuard"):
+    def __init__(self, guard: "FrontDoor"):
         self.guard = guard
         self.stages = [stage_class(guard) for stage_class in self.STAGES]
         # Fast-path probe order (``ctx.cache_only``): the cache lookup

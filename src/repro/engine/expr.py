@@ -500,3 +500,21 @@ def conjuncts(expression: Optional[Expression]) -> List[Expression]:
     if isinstance(expression, Logical) and expression.op == "AND":
         return conjuncts(expression.left) + conjuncts(expression.right)
     return [expression]
+
+
+def contains_subquery(expression: Optional[Expression]) -> bool:
+    """Whether any subquery node appears anywhere in the tree."""
+    if expression is None:
+        return False
+    if isinstance(expression, (ScalarSubquery, InSubquery)):
+        return True
+    for attribute in ("left", "right", "operand", "low", "high", "pattern"):
+        child = getattr(expression, attribute, None)
+        if isinstance(child, Expression) and contains_subquery(child):
+            return True
+    items = getattr(expression, "items", None)
+    if items:
+        for item in items:
+            if contains_subquery(item):
+                return True
+    return False

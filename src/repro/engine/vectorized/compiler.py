@@ -38,15 +38,14 @@ from ..expr import (
     Expression,
     InList,
     InSet,
-    InSubquery,
     IsNull,
     Like,
     Literal,
     Logical,
     Not,
-    ScalarSubquery,
     _as_bool,
     _like_to_regex,
+    contains_subquery,
 )
 from ..types import DataType, SQLValue
 from .columns import ColumnBatch, HAVE_NUMPY, _INT64_MAX, _INT64_MIN
@@ -687,24 +686,6 @@ def is_safe_bool(expression: Expression, resolver) -> bool:
         return dtype is DataType.BOOLEAN
     # Arithmetic, Negate, unknown nodes: may raise (type errors,
     # division by zero, non-boolean predicate results).
-    return False
-
-
-def contains_subquery(expression: Optional[Expression]) -> bool:
-    """Whether any subquery node appears anywhere in the tree."""
-    if expression is None:
-        return False
-    if isinstance(expression, (ScalarSubquery, InSubquery)):
-        return True
-    for attribute in ("left", "right", "operand", "low", "high", "pattern"):
-        child = getattr(expression, attribute, None)
-        if isinstance(child, Expression) and contains_subquery(child):
-            return True
-    items = getattr(expression, "items", None)
-    if items:
-        for item in items:
-            if contains_subquery(item):
-                return True
     return False
 
 

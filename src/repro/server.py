@@ -97,6 +97,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from .core.errors import AccessDenied, ConfigError, DelayDefenseError
+from .core.guard import GuardedResult
 from .core.resilience import BackoffPolicy, BreakerOpen, CircuitBreaker
 from .engine.errors import EngineError
 from .obs import SloTracker, build_info
@@ -1206,36 +1207,14 @@ class DelayServer:
                 deadline_at=deadline_at,
                 cache_only=True,
             )
-        except AccessDenied as denied:
-            self.slo.note("denied")
-            if self.obs.enabled:
-                self._m_denied.inc(reason=denied.reason or "denied")
-            self._send_response(
-                conn,
-                {
-                    "ok": False,
-                    "error": str(denied),
-                    "reason": denied.reason,
-                    "retry_after": denied.retry_after,
-                },
-            )
-            return True
         except (EngineError, DelayDefenseError) as error:
-            self.slo.note("denied")
-            self._send_response(conn, {"ok": False, "error": str(error)})
+            self._send_response(conn, self._deny(error))
             return True
         if result is None:
             return False
         self.cache_fast_path_hits += 1
         self.slo.note("ok", latency=time.monotonic() - received_at)
-        response = {
-            "ok": True,
-            "columns": result.result.columns,
-            "rows": [list(row) for row in result.result.rows],
-            "delay": result.delay,
-            "rowcount": result.result.rowcount,
-            "cached": True,
-        }
+        response = self._query_response(result)
         if result.delay <= 0:
             self._send_response(conn, response)
             return True
@@ -1367,21 +1346,39 @@ class DelayServer:
             if request.op == "query":
                 return self._handle_query_async(request)
             return self._route_op(request.payload)
-        except AccessDenied as denied:
-            self.slo.note("denied")
-            if self.obs.enabled:
-                self._m_denied.inc(reason=denied.reason or "denied")
-            return {
-                "ok": False,
-                "error": str(denied),
-                "reason": denied.reason,
-                "retry_after": denied.retry_after,
-            }
         except (EngineError, DelayDefenseError) as error:
-            # A refused or malformed statement is the request's fault,
-            # not the server's: a denial for SLO purposes, not an error.
-            self.slo.note("denied")
+            return self._deny(error)
+
+    def _deny(self, error: Exception) -> Dict:
+        """The response for a refused or failed statement.
+
+        A refused or malformed statement is the request's fault, not
+        the server's: a denial for SLO purposes, not an error. Guard
+        refusals carry their machine-readable reason and retry hint.
+        """
+        self.slo.note("denied")
+        if not isinstance(error, AccessDenied):
             return {"ok": False, "error": str(error)}
+        if self.obs.enabled:
+            self._m_denied.inc(reason=error.reason or "denied")
+        return {
+            "ok": False,
+            "error": str(error),
+            "reason": error.reason,
+            "retry_after": error.retry_after,
+        }
+
+    @staticmethod
+    def _query_response(result: GuardedResult) -> Dict:
+        """The wire answer for a served statement (delay not yet slept)."""
+        return {
+            "ok": True,
+            "columns": result.result.columns,
+            "rows": [list(row) for row in result.result.rows],
+            "delay": result.delay,
+            "rowcount": result.result.rowcount,
+            "cached": result.cached,
+        }
 
     def _handle_query_async(self, request: _Request) -> Optional[Dict]:
         """Execute a query; park its delay instead of sleeping on it."""
@@ -1404,14 +1401,7 @@ class DelayServer:
         self.slo.note(
             "ok", latency=time.monotonic() - request.received_at
         )
-        response = {
-            "ok": True,
-            "columns": result.result.columns,
-            "rows": [list(row) for row in result.result.rows],
-            "delay": result.delay,
-            "rowcount": result.result.rowcount,
-            "cached": result.cached,
-        }
+        response = self._query_response(result)
         if result.delay <= 0:
             return response
         if hasattr(self.service.clock, "advance"):
@@ -1456,21 +1446,8 @@ class DelayServer:
             if op == "query":
                 return self._handle_query_sync(request)
             return self._route_op(request)
-        except AccessDenied as denied:
-            self.slo.note("denied")
-            if self.obs.enabled:
-                self._m_denied.inc(reason=denied.reason or "denied")
-            return {
-                "ok": False,
-                "error": str(denied),
-                "reason": denied.reason,
-                "retry_after": denied.retry_after,
-            }
         except (EngineError, DelayDefenseError) as error:
-            # A refused or malformed statement is the request's fault,
-            # not the server's: a denial for SLO purposes, not an error.
-            self.slo.note("denied")
-            return {"ok": False, "error": str(error)}
+            return self._deny(error)
 
     def _route_op(self, request: Dict) -> Dict:
         """Dispatch every op except ``query`` (shared by both paths)."""
@@ -1538,14 +1515,7 @@ class DelayServer:
                 result.trace.extend(
                     "sleep", sleep_start, time.perf_counter()
                 )
-        return {
-            "ok": True,
-            "columns": result.result.columns,
-            "rows": [list(row) for row in result.result.rows],
-            "delay": result.delay,
-            "rowcount": result.result.rowcount,
-            "cached": result.cached,
-        }
+        return self._query_response(result)
 
     def _handle_report(self) -> Dict:
         # Lock-free: report() reads the engine under its read lock and
