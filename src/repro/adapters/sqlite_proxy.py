@@ -34,15 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.accounts import AccountManager
 from ..core.clock import Clock, VirtualClock
 from ..core.config import GuardConfig
-from ..core.delay_policy import (
-    DelayPolicy,
-    FixedDelayPolicy,
-    NoDelayPolicy,
-    PopularityDelayPolicy,
-    UpdateRateDelayPolicy,
-)
 from ..core.errors import AccessDenied, ConfigError
-from ..core.guard import GuardStats
+from ..core.guard import GuardStats, build_count_store, build_delay_policy
 from ..core.popularity import PopularityTracker
 from ..core.update_tracker import UpdateRateTracker
 from ..engine.expr import contains_subquery
@@ -99,36 +92,17 @@ class SQLiteDelayProxy:
         self.clock = clock if clock is not None else VirtualClock()
         self.accounts = accounts
         self.stats = GuardStats()
-        self.popularity = PopularityTracker(decay_rate=self.config.decay_rate)
+        self.popularity = PopularityTracker(
+            store=build_count_store(self.config),
+            decay_rate=self.config.decay_rate,
+        )
         self.update_rates = UpdateRateTracker(
             clock=self.clock,
             time_constant=self.config.update_time_constant,
         )
         self.last_update_times = {}
-        self.policy = self._build_policy()
-
-    # -- policy -----------------------------------------------------------
-
-    def _build_policy(self) -> DelayPolicy:
-        config = self.config
-        if config.policy == "none":
-            return NoDelayPolicy()
-        if config.policy == "fixed":
-            return FixedDelayPolicy(config.fixed_delay)
-        if config.policy == "update":
-            return UpdateRateDelayPolicy(
-                tracker=self.update_rates,
-                population=self.population,
-                c=config.update_c,
-                cap=config.cap,
-            )
-        return PopularityDelayPolicy(
-            tracker=self.popularity,
-            population=self.population,
-            cap=config.cap,
-            beta=config.beta,
-            unit=config.unit,
-            mode=config.popularity_mode,
+        self.policy = build_delay_policy(
+            self.config, self.popularity, self.update_rates, self.population
         )
 
     def population(self) -> int:

@@ -65,6 +65,57 @@ from .update_tracker import UpdateRateTracker
 TupleKey = Tuple[str, int]
 
 
+def build_count_store(config: GuardConfig) -> CountStore:
+    """The popularity count store ``config.count_store`` names."""
+    kind = config.count_store
+    if kind == "memory":
+        return InMemoryCountStore()
+    if kind == "write_behind":
+        return WriteBehindCountStore(cache_size=config.count_cache_size)
+    if kind == "space_saving":
+        return SpaceSavingStore(capacity=config.count_capacity)
+    if kind == "counting_sample":
+        return CountingSampleStore(capacity=config.count_capacity)
+    raise ConfigError(f"unknown count store {kind!r}")  # pragma: no cover
+
+
+def build_delay_policy(
+    config: GuardConfig,
+    popularity: PopularityTracker,
+    update_rates: UpdateRateTracker,
+    population: Callable[[], int],
+) -> DelayPolicy:
+    """The delay policy ``config.policy`` names, over the given trackers.
+
+    Every front door that prices from its own trackers (the native
+    guard, the SQLite proxy) builds its policy here, so one config
+    prices alike everywhere.
+    """
+    if config.policy == "none":
+        return NoDelayPolicy()
+    if config.policy == "fixed":
+        return FixedDelayPolicy(config.fixed_delay)
+    by_popularity = PopularityDelayPolicy(
+        tracker=popularity,
+        population=population,
+        cap=config.cap,
+        beta=config.beta,
+        unit=config.unit,
+        mode=config.popularity_mode,
+    )
+    if config.policy == "popularity":
+        return by_popularity
+    by_update = UpdateRateDelayPolicy(
+        tracker=update_rates,
+        population=population,
+        c=config.update_c,
+        cap=config.cap,
+    )
+    if config.policy == "update":
+        return by_update
+    return CompositeDelayPolicy([by_popularity, by_update], combine="max")
+
+
 def _stale_probability(rate: float, horizon: float) -> float:
     """P(stale) for one tuple under the paper's §3 Poisson model.
 
@@ -496,7 +547,7 @@ class DelayGuard(FrontDoor):
             self.population,
         )
         self.popularity = PopularityTracker(
-            store=self._build_store(),
+            store=build_count_store(self.config),
             decay_rate=self.config.decay_rate,
             origin=self.config.node_id,
         )
@@ -511,7 +562,16 @@ class DelayGuard(FrontDoor):
         #: guard must protect it itself.
         self.last_update_times: Dict[TupleKey, float] = {}
         self._updates_lock = threading.Lock()
-        self.policy = policy if policy is not None else self._build_policy()
+        self.policy = (
+            policy
+            if policy is not None
+            else build_delay_policy(
+                self.config,
+                self.popularity,
+                self.update_rates,
+                self.population,
+            )
+        )
         #: delay-aware result cache (None unless configured): hits skip
         #: only the execute stage; pricing and recording always run.
         self.result_cache = (
@@ -525,19 +585,6 @@ class DelayGuard(FrontDoor):
         )
         if self.config.parse_cache_size is not None:
             configure_parse_cache(self.config.parse_cache_size)
-        if (
-            not self.config.vectorized_execution
-            or self.config.scan_workers > 0
-            or self.config.parallel_scan_min_rows != 4096
-        ):
-            # Only reconfigure when the config deviates from the engine
-            # defaults: a Database may be shared (tests, embedding) and
-            # rebuilding its executor resets the path counters.
-            self.database.configure_execution(
-                vectorized=self.config.vectorized_execution,
-                scan_workers=self.config.scan_workers,
-                parallel_scan_min_rows=self.config.parallel_scan_min_rows,
-            )
         if self.obs.enabled:
             self._register_metrics()
         self.pipeline = QueryPipeline(self)
@@ -645,44 +692,6 @@ class DelayGuard(FrontDoor):
             "spread over the table's current extraction time",
             ("table",),
         )
-
-    def _build_store(self) -> CountStore:
-        kind = self.config.count_store
-        if kind == "memory":
-            return InMemoryCountStore()
-        if kind == "write_behind":
-            return WriteBehindCountStore(cache_size=self.config.count_cache_size)
-        if kind == "space_saving":
-            return SpaceSavingStore(capacity=self.config.count_capacity)
-        if kind == "counting_sample":
-            return CountingSampleStore(capacity=self.config.count_capacity)
-        raise ConfigError(f"unknown count store {kind!r}")  # pragma: no cover
-
-    def _build_policy(self) -> DelayPolicy:
-        config = self.config
-        if config.policy == "none":
-            return NoDelayPolicy()
-        if config.policy == "fixed":
-            return FixedDelayPolicy(config.fixed_delay)
-        popularity = PopularityDelayPolicy(
-            tracker=self.popularity,
-            population=self.population,
-            cap=config.cap,
-            beta=config.beta,
-            unit=config.unit,
-            mode=config.popularity_mode,
-        )
-        if config.policy == "popularity":
-            return popularity
-        update = UpdateRateDelayPolicy(
-            tracker=self.update_rates,
-            population=self.population,
-            c=config.update_c,
-            cap=config.cap,
-        )
-        if config.policy == "update":
-            return update
-        return CompositeDelayPolicy([popularity, update], combine="max")
 
     # -- sizing ----------------------------------------------------------------
 

@@ -33,9 +33,7 @@ class HeapTable:
         self._rowid_stride = 1
         #: monotonic mutation counter: bumped on every insert/update/
         #: delete/restore. The vectorized executor keys its cached
-        #: columnar snapshot on it, and fork-based scan workers verify
-        #: it per task so a stale worker can never answer for a table
-        #: that moved underneath it.
+        #: columnar snapshot on it.
         self._version = 0
         #: cached columnar snapshot (built by
         #: :meth:`column_batch`), valid while ``_version`` matches.

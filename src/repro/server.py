@@ -1100,52 +1100,56 @@ class DelayServer:
             return
         io.submit(("send", conn, self._encode(payload), close_after))
 
-    def _dispatch_line(self, conn: _Connection, line: str) -> None:
-        """Parse, validate, and admit one request line (I/O thread).
+    def _decode_request(
+        self, line: str
+    ) -> Tuple[Optional[Dict], Optional[Dict]]:
+        """Decode and validate one request line (both front doors).
 
-        Anything that can be answered without a worker — parse errors,
-        invalid fields, admission sheds — is answered here, so a
-        saturated worker pool never delays the fast rejection path.
+        Returns ``(payload, None)`` for a well-formed request and
+        ``(None, response)`` with the answer for a malformed one.
         """
-        received_at = time.monotonic()
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as error:
-            self._send_response(
-                conn, {"ok": False, "error": f"bad json: {error}"}
-            )
-            return
+            return None, {"ok": False, "error": f"bad json: {error}"}
         if not isinstance(payload, dict) or "op" not in payload:
-            self._send_response(
-                conn,
-                {"ok": False, "error": "request must be {'op': ...}"},
-            )
-            return
-        op = payload["op"]
+            return None, {
+                "ok": False,
+                "error": "request must be {'op': ...}",
+            }
         if self.obs.enabled:
+            op = payload["op"]
             self._m_requests.inc(op=op if op in KNOWN_OPS else "unknown")
         invalid = self._validate_request(payload)
         if invalid is not None:
             if self.obs.enabled:
                 self._m_denied.inc(reason="bad_request")
-            self._send_response(conn, invalid)
+            return None, invalid
+        return payload, None
+
+    @staticmethod
+    def _deadline_at(payload: Dict, received_at: float) -> Optional[float]:
+        deadline_ms = payload.get("deadline_ms")
+        if deadline_ms is None:
+            return None
+        return received_at + deadline_ms / 1000.0
+
+    def _dispatch_line(self, conn: _Connection, line: str) -> None:
+        """Parse, validate, and admit one request line (I/O thread).
+
+        Anything that can be answered without a worker — parse errors,
+        invalid fields, admission sheds, result-cache hits — is
+        answered here, so a saturated worker pool never delays the fast
+        path.
+        """
+        received_at = time.monotonic()
+        payload, error = self._decode_request(line)
+        if error is not None:
+            self._send_response(conn, error)
             return
         if self._draining.is_set():
             self._send_response(conn, self._shed_response("shutting_down"))
             return
-        deadline_at = None
-        if payload.get("deadline_ms") is not None:
-            deadline_at = received_at + payload["deadline_ms"] / 1000.0
-        if (
-            op == "query"
-            and self.cache_fast_path
-            and getattr(self.service.guard, "result_cache", None) is not None
-            and self._try_cache_fast_path(
-                conn, payload, received_at, deadline_at
-            )
-        ):
-            return
-        priority = payload.get("priority", PRIORITY_DEFAULT)
         with self._seq_lock:
             self._request_seq += 1
             seq = self._request_seq
@@ -1154,10 +1158,19 @@ class DelayServer:
             payload=payload,
             seq=seq,
             received_at=received_at,
-            deadline_at=deadline_at,
-            priority=int(priority),
+            deadline_at=self._deadline_at(payload, received_at),
+            priority=int(payload.get("priority", PRIORITY_DEFAULT)),
         )
+        # One request in flight per connection: every path below ends
+        # in exactly one response, whose send clears the flag.
         conn.busy = True
+        if (
+            request.op == "query"
+            and self.cache_fast_path
+            and getattr(self.service.guard, "result_cache", None) is not None
+            and self._try_cache_fast_path(request)
+        ):
+            return
         admitted, victim = self._queue.offer(request)
         if victim is not None:
             self._note_shed("queue_full")
@@ -1180,13 +1193,7 @@ class DelayServer:
                 ),
             )
 
-    def _try_cache_fast_path(
-        self,
-        conn: _Connection,
-        payload: Dict,
-        received_at: float,
-        deadline_at: Optional[float],
-    ) -> bool:
+    def _try_cache_fast_path(self, request: _Request) -> bool:
         """Answer a query from the result cache on the I/O loop.
 
         Returns True when the request was fully answered here (a cache
@@ -1195,53 +1202,24 @@ class DelayServer:
         before the authorize stage, so the account has not been
         charged and the worker-pool run charges exactly once.
         """
-        sql = payload.get("sql")
-        if not isinstance(sql, str) or not sql:
-            return False
-        guard = self.service.guard
+        payload = request.payload
         try:
-            result = guard.execute(
-                sql,
+            result = self.service.guard.execute(
+                payload["sql"],
                 identity=payload.get("identity"),
                 sleep=False,
-                deadline_at=deadline_at,
+                deadline_at=request.deadline_at,
                 cache_only=True,
             )
         except (EngineError, DelayDefenseError) as error:
-            self._send_response(conn, self._deny(error))
+            self._send_response(request.conn, self._deny(error))
             return True
         if result is None:
             return False
         self.cache_fast_path_hits += 1
-        self.slo.note("ok", latency=time.monotonic() - received_at)
-        response = self._query_response(result)
-        if result.delay <= 0:
-            self._send_response(conn, response)
-            return True
-        if hasattr(self.service.clock, "advance"):
-            sleep_start = time.perf_counter()
-            self.service.clock.sleep(result.delay)
-            if result.trace is not None:
-                result.trace.extend("sleep", sleep_start, time.perf_counter())
-            self._send_response(conn, response)
-            return True
-        with self._seq_lock:
-            self._request_seq += 1
-            seq = self._request_seq
-        request = _Request(
-            conn=conn,
-            payload=payload,
-            seq=seq,
-            received_at=received_at,
-            deadline_at=deadline_at,
-            priority=int(payload.get("priority", PRIORITY_DEFAULT)),
-        )
-        conn.busy = True
-        parked = self._sleeper.park(
-            request, response, result.delay, result.trace
-        )
-        if parked is not None:
-            self._send_response(conn, parked)
+        response = self._answer(result, request.received_at, request)
+        if response is not None:
+            self._send_response(request.conn, response)
         return True
 
     @staticmethod
@@ -1297,6 +1275,8 @@ class DelayServer:
                 return bad(
                     f"sql must be a string, got {type(sql).__name__}"
                 )
+            if not sql:
+                return bad("query needs sql")
         return None
 
     # -- request execution (worker threads) ------------------------------------
@@ -1344,7 +1324,12 @@ class DelayServer:
                 # work the client no longer wants.
                 raise AccessDenied("deadline_exceeded")
             if request.op == "query":
-                return self._handle_query_async(request)
+                return self._handle_query(
+                    request.payload,
+                    request.received_at,
+                    request.deadline_at,
+                    request,
+                )
             return self._route_op(request.payload)
         except (EngineError, DelayDefenseError) as error:
             return self._deny(error)
@@ -1368,10 +1353,40 @@ class DelayServer:
             "retry_after": error.retry_after,
         }
 
-    @staticmethod
-    def _query_response(result: GuardedResult) -> Dict:
-        """The wire answer for a served statement (delay not yet slept)."""
-        return {
+    def _handle_query(
+        self,
+        payload: Dict,
+        received_at: float,
+        deadline_at: Optional[float],
+        request: Optional[_Request] = None,
+    ) -> Optional[Dict]:
+        """Run a query through the guard and answer it (see _answer)."""
+        result = self.service.guard.execute(
+            payload["sql"],
+            identity=payload.get("identity"),
+            sleep=False,
+            deadline_at=deadline_at,
+        )
+        return self._answer(result, received_at, request)
+
+    def _answer(
+        self,
+        result: GuardedResult,
+        received_at: float,
+        request: Optional[_Request] = None,
+    ) -> Optional[Dict]:
+        """Note the SLO, build the response, serve or park the delay.
+
+        The priced delay is slept inline on a virtual clock (charging
+        it is instantaneous) or when there is no connection to answer
+        later (``request`` None: the embedded path). Otherwise the
+        response is parked and None returned — or, when the parking
+        lot sheds it, the shed response to send right away.
+        """
+        # SLO latency deliberately excludes the priced delay: the
+        # delay is the defense working, not slowness.
+        self.slo.note("ok", latency=time.monotonic() - received_at)
+        response = {
             "ok": True,
             "columns": result.result.columns,
             "rows": [list(row) for row in result.result.rows],
@@ -1379,40 +1394,13 @@ class DelayServer:
             "rowcount": result.result.rowcount,
             "cached": result.cached,
         }
-
-    def _handle_query_async(self, request: _Request) -> Optional[Dict]:
-        """Execute a query; park its delay instead of sleeping on it."""
-        payload = request.payload
-        sql = payload.get("sql")
-        if not sql:
-            return {
-                "ok": False,
-                "error": "query needs sql",
-                "reason": "bad_request",
-            }
-        result = self.service.guard.execute(
-            sql,
-            identity=payload.get("identity"),
-            sleep=False,
-            deadline_at=request.deadline_at,
-        )
-        # SLO latency deliberately excludes the priced delay served
-        # below: the delay is the defense working, not slowness.
-        self.slo.note(
-            "ok", latency=time.monotonic() - request.received_at
-        )
-        response = self._query_response(result)
         if result.delay <= 0:
             return response
-        if hasattr(self.service.clock, "advance"):
-            # Simulated clock: charging the delay is instantaneous, so
-            # there is nothing to park — account it and answer.
+        if request is None or hasattr(self.service.clock, "advance"):
             sleep_start = time.perf_counter()
             self.service.clock.sleep(result.delay)
             if result.trace is not None:
-                result.trace.extend(
-                    "sleep", sleep_start, time.perf_counter()
-                )
+                result.trace.extend("sleep", sleep_start, time.perf_counter())
             return response
         return self._sleeper.park(
             request, response, result.delay, result.trace
@@ -1428,24 +1416,18 @@ class DelayServer:
         flows through the admission queue, worker pool, and delay
         parking lot.
         """
+        received_at = time.monotonic()
+        payload, error = self._decode_request(line)
+        if error is not None:
+            return error
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {"ok": False, "error": f"bad json: {error}"}
-        if not isinstance(request, dict) or "op" not in request:
-            return {"ok": False, "error": "request must be {'op': ...}"}
-        op = request["op"]
-        if self.obs.enabled:
-            self._m_requests.inc(op=op if op in KNOWN_OPS else "unknown")
-        invalid = self._validate_request(request)
-        if invalid is not None:
-            if self.obs.enabled:
-                self._m_denied.inc(reason="bad_request")
-            return invalid
-        try:
-            if op == "query":
-                return self._handle_query_sync(request)
-            return self._route_op(request)
+            if payload["op"] == "query":
+                return self._handle_query(
+                    payload,
+                    received_at,
+                    self._deadline_at(payload, received_at),
+                )
+            return self._route_op(payload)
         except (EngineError, DelayDefenseError) as error:
             return self._deny(error)
 
@@ -1485,37 +1467,6 @@ class DelayServer:
             "identity": account.identity,
             "registered_at": account.registered_at,
         }
-
-    def _handle_query_sync(self, request: Dict) -> Dict:
-        """The embedded query path: serve the delay on this thread."""
-        sql = request.get("sql")
-        if not sql:
-            return {
-                "ok": False,
-                "error": "query needs sql",
-                "reason": "bad_request",
-            }
-        started = time.monotonic()
-        deadline_at = None
-        if request.get("deadline_ms") is not None:
-            deadline_at = started + request["deadline_ms"] / 1000.0
-        result = self.service.guard.execute(
-            sql,
-            identity=request.get("identity"),
-            sleep=False,
-            deadline_at=deadline_at,
-        )
-        # Latency excludes the priced delay served below (see the
-        # async path).
-        self.slo.note("ok", latency=time.monotonic() - started)
-        if result.delay > 0:
-            sleep_start = time.perf_counter()
-            self.service.clock.sleep(result.delay)
-            if result.trace is not None:
-                result.trace.extend(
-                    "sleep", sleep_start, time.perf_counter()
-                )
-        return self._query_response(result)
 
     def _handle_report(self) -> Dict:
         # Lock-free: report() reads the engine under its read lock and

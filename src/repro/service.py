@@ -430,16 +430,6 @@ class DataProviderService:
         )
         return payload
 
-    def close(self) -> None:
-        """Release process-level engine resources (scan worker pool).
-
-        Idempotent, and deliberately leaves the journal attached: a
-        service may be closed and its database re-wrapped, but a
-        journal close is a durability decision the owner makes
-        explicitly.
-        """
-        self.database.close()
-
     # -- state persistence ----------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
